@@ -92,6 +92,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if lo > hi:
                 continue
             reports.append(verify_range(descriptor.id, lo, hi, mode=args.mode))
+        if not reports:
+            limit = f" and the enumeration cap {cap}" if args.mode == "oracle" else ""
+            raise _UsageError(
+                f"no identity has an n in {args.start}..{args.stop} "
+                f"inside its stated range{limit}"
+            )
     else:
         get_identity(args.identity)  # unknown id is a usage error, not exit 2
         reports = [verify_range(args.identity, args.start, args.stop, mode=args.mode)]
@@ -214,6 +220,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Counts are printed in full at any size; CPython otherwise refuses to
+    # convert ints of more than 4300 digits to str.
+    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_int_max_str_digits is not None:
+        set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,7 +16,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .enumerator import CapExceeded, enumerate_tilings, max_cells
+from .enumerator import _check_size, enumerate_tilings
 from .strip_model import Tile, Tiling, tile_at, to_tokens, validate
 
 _SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
@@ -49,11 +49,7 @@ class SingleStripTiling:
 
 def enumerate_single_strip(length: int, cap: int | None = None) -> Iterator[SingleStripTiling]:
     """All square/domino tilings of a single strip, canonical order, count f_length."""
-    if length < 0:
-        raise ValueError(f"strip length must be >= 0, got {length}")
-    limit = max_cells() if cap is None else cap
-    if length > limit:
-        raise CapExceeded(f"strip length {length} exceeds the enumeration cap {limit}")
+    _check_size(length, cap)
     tiles: list[SingleTile] = []
 
     def walk(c: int) -> Iterator[SingleStripTiling]:

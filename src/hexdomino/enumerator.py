@@ -1,14 +1,17 @@
-"""Brute-force enumeration of double-strip tilings, with class restrictions.
+"""Enumeration, counting and first-tile partitions of double-strip tilings.
 
-Enumeration recurses on the lowest uncovered cell c.  At most one cell beyond
-the frontier can already be covered: placing Horizontal@(c+2) covers c and c+2
-while leaving c+1 free, and no other move skips a cell.  The recursion state
-is therefore just (c, flag) where the flag says "cell c+1 is already covered".
-Canonical order tries Square@c, then Inclined@(c+1), then Horizontal@(c+2).
+Every tiling is built by covering the lowest uncovered cell c.  At most one
+cell beyond the frontier can already be covered: placing Horizontal@(c+2)
+covers c and c+2 while leaving c+1 free, and no other move skips a cell.  The
+frontier state is therefore just (c, flag) where the flag says "cell c+1 is
+already covered", and `_moves` lists the tiles that can cover c from it, in
+canonical order: Square@c, then Inclined@(c+1), then Horizontal@(c+2).
 
-Counting and partition walks share the same recursion but never materialize
-tilings, which keeps exhaustive oracles affordable at the 24-cell default cap
-(about 3.9 million tilings).
+Two consumers share those moves.  `enumerate_tilings` walks them depth first
+and materializes each tiling.  Counting and partitions fold them backward over
+the frontier states (the transfer-matrix method), so their cost grows with n
+rather than with the number of tilings, and they never consult the Tetranacci
+recurrence they are used to check.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from .strip_model import (
     SQUARE,
     Tile,
     Tiling,
+    tile_at,
 )
 
 DEFAULT_MAX_CELLS = 24
@@ -70,6 +74,27 @@ def _class_set(classes) -> frozenset[str]:
     return class_set
 
 
+def _moves(
+    c: int, next_covered: bool, n: int, class_set: frozenset[str]
+) -> Iterator[tuple[Tile, int, bool]]:
+    """Yield (tile, next_c, next_flag) for each allowed tile covering cell c.
+
+    (next_c, next_flag) is the frontier state once the tile is placed.  This
+    is the only place that decides which tiles fit the frontier; moves come
+    out in canonical order.
+    """
+    if SQUARE in class_set:
+        yield Tile(c, "S"), c + 2 if next_covered else c + 1, False
+    if not next_covered and c + 1 <= n:
+        if (RIGHT_INCLINED if (c + 1) % 2 == 0 else LEFT_INCLINED) in class_set:
+            yield Tile(c + 1, "I"), c + 2, False
+    if HORIZONTAL in class_set and c + 2 <= n:
+        if next_covered:
+            yield Tile(c + 2, "H"), c + 3, False
+        else:
+            yield Tile(c + 2, "H"), c + 1, True
+
+
 def enumerate_tilings(n: int, classes=ALL_CLASSES, cap: int | None = None) -> Iterator[Tiling]:
     """Yield every tiling of the n-cell strip using allowed tile classes only.
 
@@ -78,55 +103,50 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES, cap: int | None = None) -> It
     """
     _check_size(n, cap)
     class_set = _class_set(classes)
-    allow_square = SQUARE in class_set
-    allow_horizontal = HORIZONTAL in class_set
     tiles: list[Tile] = []
 
     def walk(c: int, next_covered: bool) -> Iterator[Tiling]:
         if c > n:
             yield Tiling.of(n, tiles)
             return
-        if allow_square:
-            tiles.append(Tile(c, "S"))
-            yield from walk(c + 2 if next_covered else c + 1, False)
-            tiles.pop()
-        if not next_covered and c + 1 <= n:
-            inclined = RIGHT_INCLINED if (c + 1) % 2 == 0 else LEFT_INCLINED
-            if inclined in class_set:
-                tiles.append(Tile(c + 1, "I"))
-                yield from walk(c + 2, False)
-                tiles.pop()
-        if allow_horizontal and c + 2 <= n:
-            tiles.append(Tile(c + 2, "H"))
-            yield from walk(c + 3, False) if next_covered else walk(c + 1, True)
+        for tile, next_c, next_flag in _moves(c, next_covered, n, class_set):
+            tiles.append(tile)
+            yield from walk(next_c, next_flag)
             tiles.pop()
 
     return walk(1, False)
+
+
+def _fold(n: int, allowed: frozenset[str], tracked: frozenset[str]) -> dict[int | None, int]:
+    """Count the tilings built from `allowed` tiles, grouped by first tracked tile.
+
+    Folds backward over the frontier states, c = n down to 1: each state maps
+    to {minimal location of a tracked tile in the rest of the tiling, or None:
+    number of ways to finish}.  Only c = n + 1 with nothing covered ends a
+    tiling, and a state with cell c + 1 covered needs c < n.
+    """
+    done: dict[tuple[int, bool], dict[int | None, int]] = {(n + 1, False): {None: 1}}
+    for c in range(n, 0, -1):
+        for next_covered in (False, True) if c < n else (False,):
+            groups: dict[int | None, int] = {}
+            for tile, next_c, next_flag in _moves(c, next_covered, n, allowed):
+                hit = tile.tile_class in tracked
+                for key, count in done[next_c, next_flag].items():
+                    if hit and (key is None or tile.location < key):
+                        key = tile.location
+                    groups[key] = groups.get(key, 0) + count
+            done[c, next_covered] = groups
+    return done[1, False]
 
 
 def count_by_enumeration(n: int, classes=ALL_CLASSES, cap: int | None = None) -> int:
-    """Number of tilings, by walking the full enumeration tree (no DP)."""
+    """Number of tilings, by a backward fold over the frontier moves.
+
+    The fold derives every count from tile geometry alone, never from the
+    Tetranacci recurrence, so it stays an independent oracle for it.
+    """
     _check_size(n, cap)
-    class_set = _class_set(classes)
-    allow_square = SQUARE in class_set
-    allow_horizontal = HORIZONTAL in class_set
-    allow_right = RIGHT_INCLINED in class_set
-    allow_left = LEFT_INCLINED in class_set
-
-    def walk(c: int, next_covered: bool) -> int:
-        if c > n:
-            return 1
-        total = 0
-        if allow_square:
-            total += walk(c + 2, False) if next_covered else walk(c + 1, False)
-        if not next_covered and c + 1 <= n:
-            if allow_right if (c + 1) % 2 == 0 else allow_left:
-                total += walk(c + 2, False)
-        if allow_horizontal and c + 2 <= n:
-            total += walk(c + 3, False) if next_covered else walk(c + 1, True)
-        return total
-
-    return walk(1, False)
+    return sum(_fold(n, _class_set(classes), frozenset()).values())
 
 
 def partition_by_first(n: int, classes, cap: int | None = None) -> dict[int | None, int]:
@@ -135,38 +155,11 @@ def partition_by_first(n: int, classes, cap: int | None = None) -> dict[int | No
     Keys are the minimal location of a tile whose class lies in `classes`, or
     None when no such tile occurs.  Counts sum to the unrestricted total.
     Placement order can disagree with location order (a horizontal placed at
-    the frontier lands above a later square), so the walk folds a running
+    the frontier lands above a later square), so the fold keeps a running
     minimum instead of taking the first placement.
     """
     _check_size(n, cap)
-    class_set = _class_set(classes)
-    track_square = SQUARE in class_set
-    track_horizontal = HORIZONTAL in class_set
-    track_right = RIGHT_INCLINED in class_set
-    track_left = LEFT_INCLINED in class_set
-    groups: dict[int | None, int] = {}
-
-    def fold(best: int | None, location: int) -> int:
-        return location if best is None else min(best, location)
-
-    def walk(c: int, next_covered: bool, best: int | None) -> None:
-        if c > n:
-            groups[best] = groups.get(best, 0) + 1
-            return
-        walk(c + 2 if next_covered else c + 1, False, fold(best, c) if track_square else best)
-        if not next_covered and c + 1 <= n:
-            tracked = track_right if (c + 1) % 2 == 0 else track_left
-            walk(c + 2, False, fold(best, c + 1) if tracked else best)
-        if c + 2 <= n:
-            h_best = fold(best, c + 2) if track_horizontal else best
-            if next_covered:
-                walk(c + 3, False, h_best)
-            else:
-                walk(c + 1, True, h_best)
-        return
-
-    walk(1, False, None)
-    return groups
+    return _fold(n, ALL_CLASSES, _class_set(classes))
 
 
 BREAKABLE = "breakable"
@@ -204,13 +197,6 @@ def classify_diagonal(tiling: Tiling) -> CrossingDescriptor:
         raise ValueError(f"classify_diagonal needs an even length, got {tiling.length}")
     d = tiling.length // 2
     by_location = {t.location: t for t in tiling.tiles}
-
-    def covers(cell: int) -> Tile:
-        for tile in tiling.tiles:
-            if tile.location >= cell and cell in _tile_cells(tile):
-                return tile
-        raise AssertionError(f"cell {cell} uncovered in a supposedly valid tiling")
-
     inclined = by_location.get(d + 1)
     if inclined is not None and inclined.kind == "I":
         return CrossingDescriptor(INCLINED_CROSS)
@@ -221,22 +207,14 @@ def classify_diagonal(tiling: Tiling) -> CrossingDescriptor:
     if has_low and has_high:
         return CrossingDescriptor(BOTH_HORIZONTALS)
     if has_low:
-        kind = covers(d).kind
+        kind = tile_at(tiling, d).kind
         assert kind in ("S", "H")
         return CrossingDescriptor(LOW_HORIZONTAL, "square" if kind == "S" else "horizontal")
     if has_high:
-        kind = covers(d + 1).kind
+        kind = tile_at(tiling, d + 1).kind
         assert kind in ("S", "H")
         return CrossingDescriptor(HIGH_HORIZONTAL, "square" if kind == "S" else "horizontal")
     return CrossingDescriptor(BREAKABLE)
-
-
-def _tile_cells(tile: Tile) -> tuple[int, ...]:
-    if tile.kind == "S":
-        return (tile.location,)
-    if tile.kind == "I":
-        return (tile.location - 1, tile.location)
-    return (tile.location - 2, tile.location)
 
 
 def histogram_by_descriptor(n: int, cap: int | None = None) -> dict[CrossingDescriptor, int]:

@@ -2,10 +2,11 @@
 
 Each identity relates a double-strip tiling count (the left side) to a closed
 expression in Tetranacci and Fibonacci numbers (the right side).  Closed mode
-compares the two evaluators; oracle mode recomputes the left side by brute
-enumeration and, where the defining argument conditions on a tile (first
-domino, first square, crossing of the middle diagonal, ...), checks every
-conditioning group against its closed-form term.
+compares the two evaluators; oracle mode recomputes the left side from tile
+geometry (exhaustive enumeration or the enumerator's frontier fold) and,
+where the defining argument conditions on a tile (first domino, first square,
+crossing of the middle diagonal, ...), checks every conditioning group
+against its closed-form term.
 
 Two entries carry a printed right side that does not equal the left side at
 any valid n: the 2^n-complement identity's first term (printed 2T(n-3), which

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism, the cap."""
 import json
 
+from hexdomino import tetranacci
 from hexdomino.cli import main
 
 GOLDEN_N4 = [
@@ -40,6 +41,15 @@ def test_count_beyond_cap_uses_closed_form(capsys):
     assert (code, out) == (0, "201061985\n")
     code, out, _ = run(capsys, "count", "--n", "40", "--classes", "no-horizontal")
     assert (code, out) == (0, "165580141\n")
+
+
+def test_count_prints_past_int_str_limit(capsys):
+    code, out, err = run(capsys, "count", "--n", "20000")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].isdigit()
+    assert len(lines[0]) > 4300
+    assert int(lines[0][-9:]) == tetranacci(20000) % 10**9
 
 
 def test_count_negative_rejected(capsys):
@@ -164,6 +174,16 @@ def test_verify_all_oracle_clamps_to_cap(capsys, monkeypatch):
     assert thm3_sizes == [4, 5, 6]  # 2n <= 12
     thm1_sizes = [r["n"] for r in records if r["id"] == "thm1"]
     assert thm1_sizes == [4, 5, 6, 7, 8, 9]
+
+
+def test_verify_all_with_nothing_to_check_is_usage_error(capsys):
+    for argv in (
+        ("--from", "30", "--to", "40", "--mode", "oracle"),  # every range clamped by the cap
+        ("--from", "-5", "--to", "-1"),  # below every identity's stated range
+    ):
+        code, out, err = run(capsys, "verify", "--identity", "all", *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("usage error:")
 
 
 def test_verify_single_identity_strict_range(capsys):

@@ -6,6 +6,7 @@ from hexdomino import (
     DOMINO_CLASSES,
     HORIZONTAL,
     LEFT_INCLINED,
+    RIGHT_INCLINED,
     SQUARE,
     CapExceeded,
     classify_diagonal,
@@ -112,8 +113,14 @@ def test_partition_horizontal_or_left_pin():
 
 
 def test_partition_totals_and_agreement_with_direct_scan():
-    for classes in (DOMINO_CLASSES, frozenset({SQUARE}), frozenset({HORIZONTAL})):
-        for n in range(9):
+    for classes in (
+        DOMINO_CLASSES,
+        frozenset({SQUARE}),
+        frozenset({HORIZONTAL}),
+        frozenset({HORIZONTAL, LEFT_INCLINED}),
+        frozenset({RIGHT_INCLINED, LEFT_INCLINED}),
+    ):
+        for n in range(13):
             groups = partition_by_first(n, classes)
             assert sum(groups.values()) == tetranacci(n)
             direct: dict = {}
@@ -121,6 +128,12 @@ def test_partition_totals_and_agreement_with_direct_scan():
                 key = first_tile_of_class(tiling, classes)
                 direct[key] = direct.get(key, 0) + 1
             assert groups == direct
+
+
+def test_deep_strips_fold_without_recursion():
+    # far beyond the interpreter's recursion limit of about 1000 frames
+    assert count_by_enumeration(1500, cap=1500) == tetranacci(1500)
+    assert sum(partition_by_first(300, DOMINO_CLASSES, cap=300).values()) == tetranacci(300)
 
 
 def test_classify_diagonal_examples():
