@@ -19,15 +19,9 @@ from .correspondences import (
     lemma3_to_single,
     thm2_verify,
 )
-from .enumerator import (
-    CLASS_PRESETS,
-    CapExceeded,
-    count_by_enumeration,
-    enumerate_tilings,
-    max_cells,
-)
+from .enumerator import CLASS_PRESETS, CapExceeded, enumerate_tilings, max_cells
 from .identities import get_identity, list_identities, verify_range
-from .sequences import fibonacci_comb, pow2, tetranacci
+from .sequences import closed_count, fibonacci_comb, tetranacci
 from .strip_model import ParseError, parse_tokens, render_ascii, to_tokens
 
 
@@ -42,25 +36,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _closed_family_count(preset: str, n: int) -> int:
-    """Closed-form count for a class preset, valid for any strip length."""
-    if preset == "all":
-        return tetranacci(n)
-    if preset == "no-horizontal":
-        return fibonacci_comb(n)
-    if preset == "no-squares":
-        return fibonacci_comb(n // 2) if n % 2 == 0 else 0
-    return pow2(n // 2)  # squares-right: odd strips force a square on the last cell
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise _UsageError(f"--n must be >= 0, got {args.n}")
-    if args.n <= max_cells():
-        value = count_by_enumeration(args.n, CLASS_PRESETS[args.classes])
-    else:
-        value = _closed_family_count(args.classes, args.n)
-    print(value)
+    print(closed_count(args.classes, args.n))
     return 0
 
 
@@ -248,3 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -47,24 +47,31 @@ class SingleStripTiling:
         return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
 
 
-def enumerate_single_strip(length: int, cap: int | None = None) -> Iterator[SingleStripTiling]:
+def enumerate_single_strip(length: int) -> Iterator[SingleStripTiling]:
     """All square/domino tilings of a single strip, canonical order, count f_length."""
-    _check_size(length, cap)
-    tiles: list[SingleTile] = []
+    _check_size(length)
 
-    def walk(c: int) -> Iterator[SingleStripTiling]:
-        if c > length:
+    def walk() -> Iterator[SingleStripTiling]:
+        # Iterative, so the length is not bound by the recursion limit: fill
+        # the rest with squares, yield, then drop tiles from the end up to the
+        # last square that has a cell after it and turn it into a domino.
+        tiles: list[SingleTile] = []
+        c = 1  # lowest uncovered cell
+        while True:
+            while c <= length:
+                tiles.append(SingleTile(c, "S"))
+                c += 1
             yield SingleStripTiling.of(length, tiles)
-            return
-        tiles.append(SingleTile(c, "S"))
-        yield from walk(c + 1)
-        tiles.pop()
-        if c + 1 <= length:
-            tiles.append(SingleTile(c + 1, "D"))
-            yield from walk(c + 2)
-            tiles.pop()
+            while tiles:
+                tile = tiles.pop()
+                if tile.kind == "S" and tile.location < length:
+                    tiles.append(SingleTile(tile.location + 1, "D"))
+                    c = tile.location + 2
+                    break
+            else:
+                return
 
-    return walk(1)
+    return walk()
 
 
 def thm2_map(tiling: Tiling) -> tuple[Tiling, Tiling]:
@@ -131,7 +138,7 @@ class Thm2Report:
         return not self.missing and not self.duplicated
 
 
-def thm2_verify(n: int, cap: int | None = None, extended: bool = False) -> Thm2Report:
+def thm2_verify(n: int, extended: bool = False) -> Thm2Report:
     """Check that the 1-to-2 map covers all tilings of lengths n and n-5 exactly once.
 
     The stated range is n >= 6.  At n = 5 the stacked case targets length 0,
@@ -143,7 +150,7 @@ def thm2_verify(n: int, cap: int | None = None, extended: bool = False) -> Thm2R
     observed: Counter[str] = Counter()
     by_length: Counter[int] = Counter()
     inputs = 0
-    for tiling in enumerate_tilings(n - 1, cap=cap):
+    for tiling in enumerate_tilings(n - 1):
         inputs += 1
         first, second = thm2_map(tiling)
         observed[_key(first)] += 1
@@ -151,9 +158,9 @@ def thm2_verify(n: int, cap: int | None = None, extended: bool = False) -> Thm2R
         by_length[first.length] += 1
         by_length[second.length] += 1
     expected: Counter[str] = Counter()
-    for tiling in enumerate_tilings(n, cap=cap):
+    for tiling in enumerate_tilings(n):
         expected[_key(tiling)] += 1
-    for tiling in enumerate_tilings(n - 5, cap=cap):
+    for tiling in enumerate_tilings(n - 5):
         expected[_key(tiling)] += 1
     missing = tuple(sorted(k for k in expected if observed[k] < expected[k]))
     duplicated = tuple(sorted(k for k in observed if observed[k] > expected[k]))

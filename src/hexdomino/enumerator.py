@@ -56,10 +56,10 @@ def max_cells() -> int:
         raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}") from None
 
 
-def _check_size(n: int, cap: int | None) -> None:
+def _check_size(n: int) -> None:
     if n < 0:
         raise ValueError(f"strip length must be >= 0, got {n}")
-    limit = max_cells() if cap is None else cap
+    limit = max_cells()
     if n > limit:
         raise CapExceeded(f"strip length {n} exceeds the enumeration cap {limit}")
 
@@ -95,26 +95,40 @@ def _moves(
             yield Tile(c + 2, "H"), c + 1, True
 
 
-def enumerate_tilings(n: int, classes=ALL_CLASSES, cap: int | None = None) -> Iterator[Tiling]:
+def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
     """Yield every tiling of the n-cell strip using allowed tile classes only.
 
     Canonical order; each tiling appears exactly once.  Restriction prunes at
     choice time rather than filtering a full enumeration afterwards.
     """
-    _check_size(n, cap)
+    _check_size(n)
     class_set = _class_set(classes)
-    tiles: list[Tile] = []
 
-    def walk(c: int, next_covered: bool) -> Iterator[Tiling]:
-        if c > n:
-            yield Tiling.of(n, tiles)
+    def walk() -> Iterator[Tiling]:
+        # Depth first with an explicit stack holding the untried moves of each
+        # frontier state on the current path, so the strip length is not bound
+        # by the interpreter's recursion limit.
+        if n == 0:
+            yield Tiling.of(0, ())
             return
-        for tile, next_c, next_flag in _moves(c, next_covered, n, class_set):
+        tiles: list[Tile] = []
+        stack = [_moves(1, False, n, class_set)]
+        while stack:
+            move = next(stack[-1], None)
+            if move is None:
+                stack.pop()
+                if tiles:
+                    tiles.pop()
+                continue
+            tile, next_c, next_flag = move
             tiles.append(tile)
-            yield from walk(next_c, next_flag)
-            tiles.pop()
+            if next_c > n:
+                yield Tiling.of(n, tiles)
+                tiles.pop()
+            else:
+                stack.append(_moves(next_c, next_flag, n, class_set))
 
-    return walk(1, False)
+    return walk()
 
 
 def _fold(n: int, allowed: frozenset[str], tracked: frozenset[str]) -> dict[int | None, int]:
@@ -139,17 +153,17 @@ def _fold(n: int, allowed: frozenset[str], tracked: frozenset[str]) -> dict[int 
     return done[1, False]
 
 
-def count_by_enumeration(n: int, classes=ALL_CLASSES, cap: int | None = None) -> int:
+def count_by_enumeration(n: int, classes=ALL_CLASSES) -> int:
     """Number of tilings, by a backward fold over the frontier moves.
 
     The fold derives every count from tile geometry alone, never from the
     Tetranacci recurrence, so it stays an independent oracle for it.
     """
-    _check_size(n, cap)
+    _check_size(n)
     return sum(_fold(n, _class_set(classes), frozenset()).values())
 
 
-def partition_by_first(n: int, classes, cap: int | None = None) -> dict[int | None, int]:
+def partition_by_first(n: int, classes) -> dict[int | None, int]:
     """Group all tilings of the n-cell strip by the first tile of given classes.
 
     Keys are the minimal location of a tile whose class lies in `classes`, or
@@ -158,7 +172,7 @@ def partition_by_first(n: int, classes, cap: int | None = None) -> dict[int | No
     the frontier lands above a later square), so the fold keeps a running
     minimum instead of taking the first placement.
     """
-    _check_size(n, cap)
+    _check_size(n)
     return _fold(n, ALL_CLASSES, _class_set(classes))
 
 
@@ -217,12 +231,12 @@ def classify_diagonal(tiling: Tiling) -> CrossingDescriptor:
     return CrossingDescriptor(BREAKABLE)
 
 
-def histogram_by_descriptor(n: int, cap: int | None = None) -> dict[CrossingDescriptor, int]:
+def histogram_by_descriptor(n: int) -> dict[CrossingDescriptor, int]:
     """Crossing-descriptor counts over all tilings of the 2n-cell strip."""
     if n < 0:
         raise ValueError(f"half-length must be >= 0, got {n}")
     histogram: dict[CrossingDescriptor, int] = {}
-    for tiling in enumerate_tilings(2 * n, cap=cap):
+    for tiling in enumerate_tilings(2 * n):
         descriptor = classify_diagonal(tiling)
         histogram[descriptor] = histogram.get(descriptor, 0) + 1
     return histogram

@@ -2,11 +2,13 @@
 
 Each identity relates a double-strip tiling count (the left side) to a closed
 expression in Tetranacci and Fibonacci numbers (the right side).  Closed mode
-compares the two evaluators; oracle mode recomputes the left side from tile
-geometry (exhaustive enumeration or the enumerator's frontier fold) and,
-where the defining argument conditions on a tile (first domino, first square,
-crossing of the middle diagonal, ...), checks every conditioning group
-against its closed-form term.
+compares the two evaluators; the left sides of the restricted-family lemmas
+read `sequences.closed_count`, the table `hexdomino count --classes` prints,
+so closed mode checks that table against the paper's 2^n and f(n).  Oracle
+mode recomputes the left side from tile geometry (exhaustive enumeration or
+the enumerator's frontier fold) and, where the defining argument conditions
+on a tile (first domino, first square, crossing of the middle diagonal,
+...), checks every conditioning group against its closed-form term.
 
 Two entries carry a printed right side that does not equal the left side at
 any valid n: the 2^n-complement identity's first term (printed 2T(n-3), which
@@ -52,13 +54,10 @@ class OracleOutcome:
     """Result of recomputing an identity's left side by enumeration.
 
     `total` is the enumerated left-side count.  `groups` maps conditioning
-    keys to observed counts (None when the identity has no partition);
-    `structural_ok` is False when an auxiliary structural check failed (the
-    1-to-2 correspondence's exact-cover property).
+    keys to observed counts (None when the identity has no partition).
     """
     total: int
     groups: dict[str, int] | None = None
-    structural_ok: bool = True
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class IdentityDescriptor:
     strip_length: Callable[[int], int]
     lhs: Callable[[int], int]
     rhs: Callable[[int], int]
-    oracle: Callable[[int, int | None], OracleOutcome]
+    oracle: Callable[[int], OracleOutcome]
     partition_expected: Callable[[int], dict[str, int]] | None = None
 
     def check_range(self, n: int) -> None:
@@ -100,7 +99,6 @@ class IdentityRecord:
     mode: str
     oracle_total: int | None = None
     groups: tuple[GroupCheck, ...] | None = None
-    structural_ok: bool = True
 
     @property
     def equal(self) -> bool:
@@ -111,9 +109,7 @@ class IdentityRecord:
         """All verification content except lhs = rhs itself."""
         if self.oracle_total is not None and self.oracle_total != self.lhs:
             return False
-        if self.groups is not None and not all(g.match for g in self.groups):
-            return False
-        return self.structural_ok
+        return self.groups is None or all(g.match for g in self.groups)
 
     @property
     def ok(self) -> bool:
@@ -158,39 +154,29 @@ class VerificationReport:
 
 # --- oracle builders ---------------------------------------------------------
 
-def _partition_oracle(strip_length, classes) -> Callable[[int, int | None], OracleOutcome]:
-    def runner(n: int, cap: int | None) -> OracleOutcome:
-        raw = partition_by_first(strip_length(n), classes, cap=cap)
+def _partition_oracle(strip_length, classes) -> Callable[[int], OracleOutcome]:
+    def runner(n: int) -> OracleOutcome:
+        raw = partition_by_first(strip_length(n), classes)
         groups = {ABSENT if k is None else str(k): v for k, v in raw.items()}
         total = sum(v for k, v in raw.items() if k is not None)
         return OracleOutcome(total=total, groups=groups)
     return runner
 
 
-def _count_oracle(strip_length, classes) -> Callable[[int, int | None], OracleOutcome]:
-    def runner(n: int, cap: int | None) -> OracleOutcome:
-        return OracleOutcome(total=count_by_enumeration(strip_length(n), classes, cap=cap))
+def _count_oracle(strip_length, classes) -> Callable[[int], OracleOutcome]:
+    def runner(n: int) -> OracleOutcome:
+        return OracleOutcome(total=count_by_enumeration(strip_length(n), classes))
     return runner
 
 
-def _complement_oracle(strip_length, classes) -> Callable[[int, int | None], OracleOutcome]:
-    """Enumerated total minus enumerated restricted count ("at least one ..." sets)."""
-    def runner(n: int, cap: int | None) -> OracleOutcome:
-        length = strip_length(n)
-        total = count_by_enumeration(length, cap=cap)
-        excluded = count_by_enumeration(length, classes, cap=cap)
-        return OracleOutcome(total=total - excluded)
-    return runner
-
-
-def _thm1_oracle(n: int, cap: int | None) -> OracleOutcome:
+def _thm1_oracle(n: int) -> OracleOutcome:
     groups = {
         "square": 0,
         "inclined": 0,
         "horizontal+square": 0,
         "horizontal+horizontal": 0,
     }
-    for tiling in enumerate_tilings(n, cap=cap):
+    for tiling in enumerate_tilings(n):
         last = tiling.tiles[-1]
         if last.kind == "S":
             key = "square"
@@ -204,19 +190,19 @@ def _thm1_oracle(n: int, cap: int | None) -> OracleOutcome:
     return OracleOutcome(total=sum(groups.values()), groups=groups)
 
 
-def _thm2_oracle(n: int, cap: int | None) -> OracleOutcome:
-    report = thm2_verify(n, cap=cap)
+def _thm2_oracle(n: int) -> OracleOutcome:
+    report = thm2_verify(n)
     groups = {
         str(n): report.by_length.get(n, 0),
         str(n - 5): report.by_length.get(n - 5, 0),
         "missing": len(report.missing),
         "duplicated": len(report.duplicated),
     }
-    return OracleOutcome(total=report.outputs, groups=groups, structural_ok=report.ok)
+    return OracleOutcome(total=report.outputs, groups=groups)
 
 
-def _thm3_oracle(n: int, cap: int | None) -> OracleOutcome:
-    histogram = histogram_by_descriptor(n, cap=cap)
+def _thm3_oracle(n: int) -> OracleOutcome:
+    histogram = histogram_by_descriptor(n)
     groups = {descriptor.key: count for descriptor, count in histogram.items()}
     return OracleOutcome(total=sum(groups.values()), groups=groups)
 
@@ -326,7 +312,6 @@ def _thm8c_rhs(n: int, corrected: bool) -> int:
     return squares + mixed
 
 
-_NO_INCLINED = frozenset({SQUARE, HORIZONTAL})
 _HORIZONTAL_OR_LEFT = frozenset({HORIZONTAL, LEFT_INCLINED})
 _INCLINED = frozenset({RIGHT_INCLINED, LEFT_INCLINED})
 
@@ -382,7 +367,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             statement="squares-and-right-inclined tilings of the 2n-strip = 2^n",
             n_lo=0, n_hi=None, provenance=PAPER_STATED,
             strip_length=even,
-            lhs=lambda n: closed_count("R", n),
+            lhs=lambda n: closed_count("squares-right", 2 * n),
             rhs=lambda n: pow2(n),
             oracle=_count_oracle(even, CLASS_PRESETS["squares-right"]),
         ),
@@ -393,7 +378,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=even,
             lhs=lambda n: tet(2 * n) - pow2(n),
             rhs=lambda n: _thm5_rhs(n, corrected=False),
-            oracle=_complement_oracle(even, CLASS_PRESETS["squares-right"]),
+            oracle=_partition_oracle(even, _HORIZONTAL_OR_LEFT),
         ),
         IdentityDescriptor(
             id="thm5_corrected",
@@ -410,7 +395,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             statement="horizontal-free tilings of the n-strip = f(n)",
             n_lo=0, n_hi=None, provenance=PAPER_STATED,
             strip_length=same,
-            lhs=lambda n: closed_count("H", n),
+            lhs=lambda n: closed_count("no-horizontal", n),
             rhs=lambda n: fib(n),
             oracle=_count_oracle(same, CLASS_PRESETS["no-horizontal"]),
         ),
@@ -419,7 +404,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             statement="all-domino tilings of the 2n-strip = f(n)",
             n_lo=0, n_hi=None, provenance=PAPER_STATED,
             strip_length=even,
-            lhs=lambda n: closed_count("D", n),
+            lhs=lambda n: closed_count("no-squares", 2 * n),
             rhs=lambda n: fib(n),
             oracle=_count_oracle(even, CLASS_PRESETS["no-squares"]),
         ),
@@ -460,7 +445,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=odd,
             lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
             rhs=lambda n: _thm8c_rhs(n, corrected=False),
-            oracle=_complement_oracle(odd, _NO_INCLINED),
+            oracle=_partition_oracle(odd, _INCLINED),
         ),
         IdentityDescriptor(
             id="thm8c_corrected",
@@ -508,9 +493,7 @@ def _group_checks(
     return tuple(checks)
 
 
-def verify_range(
-    identity_id: str, lo: int, hi: int, mode: str = "closed", cap: int | None = None
-) -> VerificationReport:
+def verify_range(identity_id: str, lo: int, hi: int, mode: str = "closed") -> VerificationReport:
     """Verify an identity for every n in [lo, hi].
 
     Closed mode compares the two evaluators.  Oracle mode recomputes the left
@@ -526,7 +509,7 @@ def verify_range(
     descriptor.check_range(lo)
     descriptor.check_range(hi)
     if mode == "oracle":
-        limit = max_cells() if cap is None else cap
+        limit = max_cells()
         worst = max(descriptor.strip_length(lo), descriptor.strip_length(hi))
         if worst > limit:
             raise CapExceeded(
@@ -538,7 +521,7 @@ def verify_range(
         if mode == "closed":
             records.append(IdentityRecord(descriptor.id, n, lhs, rhs, mode))
             continue
-        outcome = descriptor.oracle(n, cap)
+        outcome = descriptor.oracle(n)
         groups = None
         if descriptor.partition_expected is not None:
             assert outcome.groups is not None
@@ -548,7 +531,6 @@ def verify_range(
                 descriptor.id, n, lhs, rhs, mode,
                 oracle_total=outcome.total,
                 groups=groups,
-                structural_ok=outcome.structural_ok,
             )
         )
     return VerificationReport(id=descriptor.id, mode=mode, records=tuple(records))

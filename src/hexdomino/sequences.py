@@ -7,23 +7,17 @@ single strip under the convention f_0 = f_1 = 1.
 """
 from __future__ import annotations
 
-import threading
-
-# Memo tables are append-only: slots, once written, never change, so readers
-# may index them without holding the lock.  The lock only serializes growth.
+# Memo tables are append-only: slots, once written, never change.
 _T: list[int] = [0, 1, 1, 2, 4]  # _T[i + 1] == T_i, starting at T_{-1} = 0
 _F: list[int] = [1, 1]           # _F[i] == f_i
-_LOCK = threading.Lock()
 
 
 def tetranacci(i: int) -> int:
     """T_i for i >= -1: T_{-1}=0, T_0=T_1=1, T_2=2, T_3=4, then the 4-term sum."""
     if i < -1:
         raise ValueError(f"tetranacci index must be >= -1, got {i}")
-    if i + 1 >= len(_T):
-        with _LOCK:
-            while i + 1 >= len(_T):
-                _T.append(_T[-1] + _T[-2] + _T[-3] + _T[-4])
+    while i + 1 >= len(_T):
+        _T.append(_T[-1] + _T[-2] + _T[-3] + _T[-4])
     return _T[i + 1]
 
 
@@ -31,10 +25,8 @@ def fibonacci_comb(i: int) -> int:
     """f_i for i >= 0 under the tiling convention f_0 = f_1 = 1."""
     if i < 0:
         raise ValueError(f"fibonacci_comb index must be >= 0, got {i}")
-    if i >= len(_F):
-        with _LOCK:
-            while i >= len(_F):
-                _F.append(_F[-1] + _F[-2])
+    while i >= len(_F):
+        _F.append(_F[-1] + _F[-2])
     return _F[i]
 
 
@@ -45,19 +37,28 @@ def pow2(i: int) -> int:
     return 1 << i
 
 
-def closed_count(family: str, n: int) -> int:
-    """Closed form for a restricted tiling family.
+def closed_count(preset: str, length: int) -> int:
+    """Closed-form number of tilings of the length-cell strip in a class preset.
 
-    H(n): n-strip tilings without horizontal tiles = f_n.
-    D(n): 2n-strip tilings made of n dominoes (no squares) = f_n.
-    R(n): 2n-strip tilings of squares and right-inclined dominoes = 2^n.
+    Presets are the enumerator's CLASS_PRESETS names:
+
+    * all: T(length);
+    * no-horizontal: f(length), the stretch onto a single strip (lemma 2);
+    * no-squares: f(length / 2) for even lengths (lemma 3), 0 for odd ones;
+    * squares-right: 2^(length // 2) (lemma 1); an odd strip forces a square
+      on its last cell.
     """
-    if n < 0:
-        raise ValueError(f"family size must be >= 0, got {n}")
-    if family == "H":
-        return fibonacci_comb(n)
-    if family == "D":
-        return fibonacci_comb(n)
-    if family == "R":
-        return pow2(n)
-    raise ValueError(f"unknown family {family!r}, expected one of H, D, R")
+    if length < 0:
+        raise ValueError(f"strip length must be >= 0, got {length}")
+    if preset == "all":
+        return tetranacci(length)
+    if preset == "no-horizontal":
+        return fibonacci_comb(length)
+    if preset == "no-squares":
+        return fibonacci_comb(length // 2) if length % 2 == 0 else 0
+    if preset == "squares-right":
+        return pow2(length // 2)
+    raise ValueError(
+        f"unknown class preset {preset!r}, expected one of "
+        "all, no-horizontal, no-squares, squares-right"
+    )

@@ -1,6 +1,11 @@
 """Command-line behavior: outputs, exit codes, determinism, the cap."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hexdomino
 from hexdomino import tetranacci
 from hexdomino.cli import main
 
@@ -273,12 +278,25 @@ def test_cap_env_respected(capsys, monkeypatch):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "6")
     code, _, err = run(capsys, "enumerate", "--n", "7")
     assert code == 1 and "cap" in err
-    # count falls back to the closed form instead of failing
+    # count prints the closed form and never reads the cap
     code, out, _ = run(capsys, "count", "--n", "7")
     assert (code, out) == (0, "56\n")
 
 
 def test_cap_env_garbage_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "plenty")
-    code, _, _ = run(capsys, "count", "--n", "3")
+    code, _, _ = run(capsys, "enumerate", "--n", "3")
     assert code == 1
+    code, out, _ = run(capsys, "count", "--n", "3")
+    assert (code, out) == (0, "4\n")
+
+
+def test_module_entry_point_reports_errors():
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hexdomino.cli",
+         "verify", "--identity", "thm4", "--from", "10", "--to", "5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "empty range" in result.stderr

@@ -46,6 +46,12 @@ def test_single_strip_cap():
         list(enumerate_single_strip(25))
 
 
+def test_deep_single_strip_enumerates_without_recursion(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "3000")
+    first = next(enumerate_single_strip(3000))
+    assert len(first.tiles) == 3000 and all(tile.kind == "S" for tile in first.tiles)
+
+
 def test_thm2_map_square_case():
     first, second = thm2_map(parse_tokens("S1 S2 S3 S4 S5 S6", 6))
     assert to_tokens(first) == "S1 S2 S3 S4 S5 S6 S7"

@@ -130,10 +130,17 @@ def test_partition_totals_and_agreement_with_direct_scan():
             assert groups == direct
 
 
-def test_deep_strips_fold_without_recursion():
+def test_deep_strips_fold_without_recursion(monkeypatch):
     # far beyond the interpreter's recursion limit of about 1000 frames
-    assert count_by_enumeration(1500, cap=1500) == tetranacci(1500)
-    assert sum(partition_by_first(300, DOMINO_CLASSES, cap=300).values()) == tetranacci(300)
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "1500")
+    assert count_by_enumeration(1500) == tetranacci(1500)
+    assert sum(partition_by_first(300, DOMINO_CLASSES).values()) == tetranacci(300)
+
+
+def test_deep_strips_enumerate_without_recursion(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "3000")
+    first = next(enumerate_tilings(3000))
+    assert len(first.tiles) == 3000 and all(tile.kind == "S" for tile in first.tiles)
 
 
 def test_classify_diagonal_examples():
@@ -211,9 +218,3 @@ def test_cap_env_rejects_garbage(monkeypatch):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "plenty")
     with pytest.raises(ValueError):
         max_cells()
-
-
-def test_cap_argument_overrides_env():
-    assert count_by_enumeration(6, cap=6) == 29
-    with pytest.raises(CapExceeded):
-        count_by_enumeration(7, cap=6)

@@ -128,7 +128,6 @@ def test_oracle_mode_all_identities():
         report = verify_range(descriptor.id, lo, hi, mode="oracle")
         for record in report.records:
             assert record.oracle_total == record.lhs, (descriptor.id, record.n)
-            assert record.structural_ok
             if descriptor.id in PRINTED_MISMATCHES:
                 assert not record.equal and record.checks_ok and not record.ok
             else:

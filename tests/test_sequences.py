@@ -1,7 +1,14 @@
 """Sequence kernels: exact values, recurrences, index conventions."""
 import pytest
 
-from hexdomino import closed_count, fibonacci_comb, pow2, tetranacci
+from hexdomino import (
+    CLASS_PRESETS,
+    closed_count,
+    count_by_enumeration,
+    fibonacci_comb,
+    pow2,
+    tetranacci,
+)
 
 TABLE = [1, 1, 2, 4, 8, 15, 29, 56, 108, 208, 401]
 
@@ -49,13 +56,23 @@ def test_pow2_values_and_guard():
 
 
 def test_closed_count_families():
-    assert closed_count("H", 5) == 8
-    assert closed_count("D", 3) == 3
-    assert closed_count("R", 2) == 4
+    assert closed_count("all", 8) == 108
+    assert closed_count("no-horizontal", 5) == 8
+    assert closed_count("no-squares", 6) == 3
+    assert closed_count("no-squares", 7) == 0
+    assert closed_count("squares-right", 4) == 4
+    assert closed_count("squares-right", 5) == 4
+
+
+def test_closed_count_matches_fold_for_every_preset():
+    # odd lengths included: no-squares is 0 there, squares-right ends in a square
+    for name, preset in CLASS_PRESETS.items():
+        for length in range(25):
+            assert closed_count(name, length) == count_by_enumeration(length, preset), (name, length)
 
 
 def test_closed_count_rejects_unknown_family_and_negative_size():
     with pytest.raises(ValueError):
-        closed_count("X", 3)
+        closed_count("H", 3)
     with pytest.raises(ValueError):
-        closed_count("H", -1)
+        closed_count("no-horizontal", -1)
