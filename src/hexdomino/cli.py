@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -213,7 +214,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help prints and exits 0 inside argparse
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`hexdomino enumerate ... | head`).  Point
+        # stdout at devnull so the interpreter's flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output ended", file=sys.stderr)
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

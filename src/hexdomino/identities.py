@@ -21,6 +21,7 @@ mismatch instead of silently patching it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift, mul
 from typing import Callable
 
 from .correspondences import thm2_verify
@@ -33,7 +34,14 @@ from .enumerator import (
     max_cells,
     partition_by_first,
 )
-from .sequences import closed_count, fibonacci_comb as fib, pow2, tetranacci as tet
+from .sequences import (
+    closed_count,
+    fibonacci_comb as fib,
+    fibonacci_terms as fib_terms,
+    pow2,
+    tetranacci as tet,
+    tetranacci_terms as tet_terms,
+)
 from .strip_model import (
     DOMINO_CLASSES,
     HORIZONTAL,
@@ -288,28 +296,35 @@ def _first_inclined_expected(length: int, absent: int) -> dict[str, int]:
 
 # --- right sides ---------------------------------------------------------------
 
+# Each sum runs over memo slices: term i of a sum pairs the i-th entry of
+# each slice, so a T index that falls by 2 as i rises is a slice with step -2.
+
 def _thm5_rhs(n: int, corrected: bool) -> int:
     first = 2 * tet(2 * n - 3) if corrected else 2 * tet(n - 3)
     return (
         first
-        + sum(pow2(i) * tet(2 * n - 2 * i - 2) for i in range(1, n))
-        + 5 * sum(pow2(i) * tet(2 * n - 2 * i - 5) for i in range(0, n - 2))
+        # sum_{i=1..n-1} 2^i T(2n-2i-2)
+        + sum(map(lshift, tet_terms(2 * n - 4, -2, -2), range(1, n)))
+        # 5 sum_{i=0..n-3} 2^i T(2n-2i-5)
+        + 5 * sum(map(lshift, tet_terms(2 * n - 5, -1, -2), range(0, n - 2)))
     )
 
 
 def _thm8_rhs(n: int) -> int:
-    return sum(fib(i - 1) ** 2 * tet(2 * n - 2 * i) for i in range(1, n + 1)) + sum(
-        fib(i - 2) * fib(i - 1) * tet(2 * n - 2 * i + 1) for i in range(2, n + 1)
-    )
+    # sum_{i=1..n} f(i-1)^2 T(2n-2i) + sum_{i=2..n} f(i-2) f(i-1) T(2n-2i+1)
+    fib_low = fib_terms(0, n)
+    squares = sum(map(mul, map(mul, fib_low, fib_low), tet_terms(2 * n - 2, -2, -2)))
+    mixed = sum(map(mul, map(mul, fib_low, fib_terms(1, n)), tet_terms(2 * n - 3, -1, -2)))
+    return squares + mixed
 
 
 def _thm8c_rhs(n: int, corrected: bool) -> int:
-    squares = sum(fib(i - 1) ** 2 * tet(2 * n - 2 * i + 1) for i in range(1, n + 1))
-    if corrected:
-        mixed = sum(fib(i - 1) * fib(i) * tet(2 * n - 2 * i) for i in range(1, n + 1))
-    else:
-        mixed = sum(fib(i - 1) * fib(i) * tet(2 * n - 2 * i + 2) for i in range(1, n + 1))
-    return squares + mixed
+    # sum_{i=1..n} f(i-1)^2 T(2n-2i+1) + sum_{i=1..n} f(i-1) f(i) T(2n-2i),
+    # printed with T(2n-2i+2) in the second sum
+    fib_low = fib_terms(0, n)
+    squares = sum(map(mul, map(mul, fib_low, fib_low), tet_terms(2 * n - 1, -1, -2)))
+    mixed_tet = tet_terms(2 * n - 2, -2, -2) if corrected else tet_terms(2 * n, 0, -2)
+    return squares + sum(map(mul, map(mul, fib_low, fib_terms(1, n + 1)), mixed_tet))
 
 
 _HORIZONTAL_OR_LEFT = frozenset({HORIZONTAL, LEFT_INCLINED})
@@ -358,7 +373,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=5, n_hi=None, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: tet(n) - 1,
-            rhs=lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * sum(tet(i) for i in range(0, n - 3)),
+            rhs=lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * sum(tet_terms(0, n - 3)),
             oracle=_partition_oracle(same, DOMINO_CLASSES),
             partition_expected=_thm4_expected,
         ),
@@ -414,7 +429,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=3, n_hi=None, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - fib(n),
-            rhs=lambda n: sum(tet(2 * n + 1 - 2 * i) * fib(i) for i in range(1, n + 1)),
+            rhs=lambda n: sum(map(mul, tet_terms(2 * n - 1, -1, -2), fib_terms(1, n + 1))),
             oracle=_partition_oracle(even, frozenset({SQUARE})),
             partition_expected=_thm6_expected,
         ),
@@ -424,7 +439,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=5, n_hi=None, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: tet(n) - fib(n),
-            rhs=lambda n: sum(fib(i) * tet(n - i - 2) for i in range(1, n - 1)),
+            rhs=lambda n: sum(map(mul, fib_terms(1, n - 1), tet_terms(n - 3, -1, -1))),
             oracle=_partition_oracle(same, frozenset({HORIZONTAL})),
             partition_expected=_thm7_expected,
         ),

@@ -4,30 +4,66 @@ All values are exact Python ints (arbitrary precision).  The Tetranacci
 sequence T counts tilings of the n-cell hexagonal double-strip; the
 combinatorial Fibonacci sequence f counts square/domino tilings of an n-cell
 single strip under the convention f_0 = f_1 = 1.
+
+The memo tables are append-only: a slot, once written, never changes, so a
+slice of a memo never goes stale.  The `*_terms` accessors return such slices,
+and a closed-form sum runs as one `sum(map(mul, ...))` over them instead of
+one call per term.
 """
 from __future__ import annotations
 
-# Memo tables are append-only: slots, once written, never change.
 _T: list[int] = [0, 1, 1, 2, 4]  # _T[i + 1] == T_i, starting at T_{-1} = 0
 _F: list[int] = [1, 1]           # _F[i] == f_i
 
 
-def tetranacci(i: int) -> int:
-    """T_i for i >= -1: T_{-1}=0, T_0=T_1=1, T_2=2, T_3=4, then the 4-term sum."""
+def _grow_tetranacci(i: int) -> None:
+    """Reject an index below T_{-1}; otherwise extend the memo through T_i."""
     if i < -1:
         raise ValueError(f"tetranacci index must be >= -1, got {i}")
     while i + 1 >= len(_T):
         _T.append(_T[-1] + _T[-2] + _T[-3] + _T[-4])
-    return _T[i + 1]
 
 
-def fibonacci_comb(i: int) -> int:
-    """f_i for i >= 0 under the tiling convention f_0 = f_1 = 1."""
+def _grow_fibonacci(i: int) -> None:
+    """Reject an index below f_0; otherwise extend the memo through f_i."""
     if i < 0:
         raise ValueError(f"fibonacci_comb index must be >= 0, got {i}")
     while i >= len(_F):
         _F.append(_F[-1] + _F[-2])
+
+
+def _terms(memo: list[int], offset: int, grow, indices: range) -> list[int]:
+    """memo[i + offset] for i in indices, as one slice, after `grow` checks both ends."""
+    if not indices:
+        return []
+    first, last = indices[0], indices[-1]
+    grow(min(first, last))
+    grow(max(first, last))
+    stop = last + offset + (1 if indices.step > 0 else -1)
+    # A descending range that ends at slot 0 has no stop index to name.
+    return memo[first + offset : stop if stop >= 0 else None : indices.step]
+
+
+def tetranacci(i: int) -> int:
+    """T_i for i >= -1: T_{-1}=0, T_0=T_1=1, T_2=2, T_3=4, then the 4-term sum."""
+    _grow_tetranacci(i)
+    return _T[i + 1]
+
+
+def tetranacci_terms(start: int, stop: int, step: int = 1) -> list[int]:
+    """[tetranacci(i) for i in range(start, stop, step)], sliced from the memo."""
+    return _terms(_T, 1, _grow_tetranacci, range(start, stop, step))
+
+
+def fibonacci_comb(i: int) -> int:
+    """f_i for i >= 0 under the tiling convention f_0 = f_1 = 1."""
+    _grow_fibonacci(i)
     return _F[i]
+
+
+def fibonacci_terms(start: int, stop: int, step: int = 1) -> list[int]:
+    """[fibonacci_comb(i) for i in range(start, stop, step)], sliced from the memo."""
+    return _terms(_F, 0, _grow_fibonacci, range(start, stop, step))
 
 
 def pow2(i: int) -> int:

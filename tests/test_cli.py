@@ -300,3 +300,28 @@ def test_module_entry_point_reports_errors():
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert "empty range" in result.stderr
+
+
+def test_package_runs_as_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hexdomino", "count", "--n", "5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "15\n", "")
+
+
+def test_closed_stdout_is_a_one_line_error():
+    # a reader that stops early, like `hexdomino enumerate --n 18 | head -1`
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hexdomino", "enumerate", "--n", "18"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.decode() == " ".join(f"S{i}" for i in range(1, 19)) + "\n"
+    assert len(err.splitlines()) <= 1, err.decode()

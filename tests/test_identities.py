@@ -3,10 +3,14 @@ import pytest
 
 from hexdomino import (
     CapExceeded,
+    closed_count,
     evaluate,
+    fibonacci_comb as fib,
     get_identity,
     list_identities,
+    pow2,
     tetranacci,
+    tetranacci as tet,
     thm3_expected_histogram,
     verify_range,
 )
@@ -66,6 +70,69 @@ ORACLE_SPANS = {
 PRINTED_MISMATCHES = {"thm5_printed", "thm8c_printed"}
 
 
+# Reference evaluators: each identity's two sides as stated, one scalar call
+# per term, so the registry's slice offsets are checked against the paper.
+def _thm5_terms(n, first):
+    return (
+        first
+        + sum(pow2(i) * tet(2 * n - 2 * i - 2) for i in range(1, n))
+        + 5 * sum(pow2(i) * tet(2 * n - 2 * i - 5) for i in range(0, n - 2))
+    )
+
+
+def _thm8c_terms(n, shift):
+    return sum(fib(i - 1) ** 2 * tet(2 * n - 2 * i + 1) for i in range(1, n + 1)) + sum(
+        fib(i - 1) * fib(i) * tet(2 * n - 2 * i + shift) for i in range(1, n + 1)
+    )
+
+
+TERM_BY_TERM = {
+    "thm1": (lambda n: tet(n), lambda n: tet(n - 1) + tet(n - 2) + tet(n - 3) + tet(n - 4)),
+    "thm2_num": (lambda n: 2 * tet(n - 1), lambda n: tet(n) + tet(n - 5)),
+    "thm3": (
+        lambda n: tet(2 * n),
+        lambda n: tet(n) ** 2 + tet(n - 1) ** 2 + tet(n - 2) ** 2
+        + 2 * tet(n - 1) * (tet(n - 2) + tet(n - 3)),
+    ),
+    "thm4": (
+        lambda n: tet(n) - 1,
+        lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * sum(tet(i) for i in range(0, n - 3)),
+    ),
+    "lemma1": (lambda n: closed_count("squares-right", 2 * n), lambda n: pow2(n)),
+    "thm5_printed": (
+        lambda n: tet(2 * n) - pow2(n),
+        lambda n: _thm5_terms(n, 2 * tet(n - 3)),
+    ),
+    "thm5_corrected": (
+        lambda n: tet(2 * n) - pow2(n),
+        lambda n: _thm5_terms(n, 2 * tet(2 * n - 3)),
+    ),
+    "lemma2": (lambda n: closed_count("no-horizontal", n), lambda n: fib(n)),
+    "lemma3": (lambda n: closed_count("no-squares", 2 * n), lambda n: fib(n)),
+    "thm6": (
+        lambda n: tet(2 * n) - fib(n),
+        lambda n: sum(tet(2 * n + 1 - 2 * i) * fib(i) for i in range(1, n + 1)),
+    ),
+    "thm7": (
+        lambda n: tet(n) - fib(n),
+        lambda n: sum(fib(i) * tet(n - i - 2) for i in range(1, n - 1)),
+    ),
+    "thm8": (
+        lambda n: tet(2 * n) - fib(n) ** 2,
+        lambda n: sum(fib(i - 1) ** 2 * tet(2 * n - 2 * i) for i in range(1, n + 1))
+        + sum(fib(i - 2) * fib(i - 1) * tet(2 * n - 2 * i + 1) for i in range(2, n + 1)),
+    ),
+    "thm8c_printed": (
+        lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
+        lambda n: _thm8c_terms(n, 2),
+    ),
+    "thm8c_corrected": (
+        lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
+        lambda n: _thm8c_terms(n, 0),
+    ),
+}
+
+
 def test_registry_size_and_order():
     assert [d.id for d in list_identities()] == REGISTRY_ORDER
 
@@ -120,6 +187,16 @@ def test_printed_variants_fail_everywhere_to_40():
         lo = LOWER_BOUNDS[identity_id]
         report = verify_range(identity_id, lo, 40, mode="closed")
         assert all(not record.equal for record in report.records)
+
+
+def test_evaluate_matches_term_by_term_sums_to_300():
+    assert list(TERM_BY_TERM) == REGISTRY_ORDER
+    for identity_id, (lhs, rhs) in TERM_BY_TERM.items():
+        for n in range(LOWER_BOUNDS[identity_id], 301):
+            expected = (lhs(n), rhs(n))
+            assert evaluate(identity_id, n) == expected, (identity_id, n)
+            if identity_id in PRINTED_MISMATCHES:
+                assert expected[0] != expected[1], (identity_id, n)
 
 
 def test_oracle_mode_all_identities():

@@ -1,0 +1,53 @@
+"""Properties of random valid tilings, drawn move by move from the frontier automaton."""
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hexdomino import (
+    ALL_CLASSES,
+    Tiling,
+    UnbreakableError,
+    is_breakable,
+    parse_tokens,
+    split_at,
+    thm2_map,
+    to_tokens,
+    validate,
+)
+from hexdomino.enumerator import _moves
+
+
+@st.composite
+def tilings(draw, min_length=0, max_length=40):
+    """A valid tiling: from each frontier state, one of the moves `_moves` allows."""
+    n = draw(st.integers(min_length, max_length))
+    tiles, c, next_covered = [], 1, False
+    while c <= n:
+        tile, c, next_covered = draw(st.sampled_from(list(_moves(c, next_covered, n, ALL_CLASSES))))
+        tiles.append(tile)
+    return Tiling.of(n, tiles)
+
+
+@given(tilings())
+def test_tokens_round_trip(tiling):
+    assert validate(tiling) == []
+    assert parse_tokens(to_tokens(tiling), tiling.length) == tiling
+
+
+@given(tilings())
+def test_breakable_iff_split_succeeds(tiling):
+    for d in range(tiling.length + 1):
+        try:
+            prefix, suffix = split_at(tiling, d)
+        except UnbreakableError:
+            assert not is_breakable(tiling, d)
+        else:
+            assert is_breakable(tiling, d)
+            assert validate(prefix) == [] and validate(suffix) == []
+
+
+@given(tilings(min_length=4))
+def test_thm2_images_are_valid(tiling):
+    first, second = thm2_map(tiling)
+    assert validate(first) == [] and validate(second) == []
+    assert first.length == tiling.length + 1
+    assert second.length in (tiling.length + 1, tiling.length - 4)
