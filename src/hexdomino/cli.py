@@ -21,7 +21,7 @@ from .correspondences import (
     thm2_verify,
 )
 from .enumerator import CLASS_PRESETS, CapExceeded, enumerate_tilings, max_cells
-from .identities import get_identity, list_identities, verify_range
+from .identities import get_identity, list_identities
 from .sequences import closed_count, fibonacci_comb, tetranacci
 from .strip_model import ParseError, parse_tokens, render_ascii, to_tokens
 
@@ -60,30 +60,24 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cap = max_cells()
+    cap = max_cells()  # a malformed cap setting fails every verify run, closed mode too
     if args.identity == "all":
-        reports = []
-        for descriptor in list_identities():
-            lo = max(args.start, descriptor.n_lo)
-            hi = args.stop if descriptor.n_hi is None else min(args.stop, descriptor.n_hi)
-            if args.mode == "oracle":
-                while hi >= lo and descriptor.strip_length(hi) > cap:
-                    hi -= 1
-            if lo > hi:
-                continue
-            reports.append(verify_range(descriptor.id, lo, hi, mode=args.mode))
-        if not reports:
+        fitted = ((d, d.fit(args.start, args.stop, args.mode)) for d in list_identities())
+        runs = [(descriptor, span) for descriptor, span in fitted if span]
+        if not runs:
             limit = f" and the enumeration cap {cap}" if args.mode == "oracle" else ""
             raise _UsageError(
                 f"no identity has an n in {args.start}..{args.stop} "
                 f"inside its stated range{limit}"
             )
     else:
-        get_identity(args.identity)  # unknown id is a usage error, not exit 2
-        reports = [verify_range(args.identity, args.start, args.stop, mode=args.mode)]
+        descriptor = get_identity(args.identity)
+        runs = [(descriptor, descriptor.check_range(args.start, args.stop, args.mode))]
+    # Every range error is raised above, before the first record is printed.
     all_ok = True
-    for report in reports:
-        for record in report.records:
+    for descriptor, span in runs:
+        for n in span:
+            record = descriptor.record(n, args.mode)
             print(json.dumps(record.to_json_dict(), separators=(",", ":")))
             passed = record.checks_ok if args.expect_mismatch else record.ok
             all_ok = all_ok and passed

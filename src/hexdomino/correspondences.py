@@ -138,40 +138,37 @@ class Thm2Report:
         return not self.missing and not self.duplicated
 
 
-def thm2_verify(n: int, extended: bool = False) -> Thm2Report:
+def thm2_verify(n: int) -> Thm2Report:
     """Check that the 1-to-2 map covers all tilings of lengths n and n-5 exactly once.
 
-    The stated range is n >= 6.  At n = 5 the stacked case targets length 0,
-    which is well defined but outside the stated claim; pass extended=True to
-    check it anyway.
+    Any n >= 5 is accepted: the identity is stated for n >= 6, and at n = 5
+    the stacked case lands on the empty tiling.  One signed tally decides the
+    cover: +1 per image, -1 per target tiling; a key left below zero is
+    missing, one left above zero is duplicated.
     """
-    if n < 6 and not (extended and n == 5):
-        raise ValueError(f"n must be >= 6 (n=5 only with extended=True), got {n}")
-    observed: Counter[str] = Counter()
+    if n < 5:
+        raise ValueError(f"n must be >= 5, got {n}")
+    balance: Counter[str] = Counter()
     by_length: Counter[int] = Counter()
     inputs = 0
     for tiling in enumerate_tilings(n - 1):
         inputs += 1
-        first, second = thm2_map(tiling)
-        observed[_key(first)] += 1
-        observed[_key(second)] += 1
-        by_length[first.length] += 1
-        by_length[second.length] += 1
-    expected: Counter[str] = Counter()
-    for tiling in enumerate_tilings(n):
-        expected[_key(tiling)] += 1
-    for tiling in enumerate_tilings(n - 5):
-        expected[_key(tiling)] += 1
-    missing = tuple(sorted(k for k in expected if observed[k] < expected[k]))
-    duplicated = tuple(sorted(k for k in observed if observed[k] > expected[k]))
+        for image in thm2_map(tiling):
+            balance[_key(image)] += 1
+            by_length[image.length] += 1
+    expected_total = 0
+    for length in (n, n - 5):
+        for tiling in enumerate_tilings(length):
+            expected_total += 1
+            balance[_key(tiling)] -= 1
     return Thm2Report(
         n=n,
         inputs=inputs,
-        outputs=sum(observed.values()),
-        expected_total=sum(expected.values()),
+        outputs=sum(by_length.values()),
+        expected_total=expected_total,
         by_length=dict(by_length),
-        missing=missing,
-        duplicated=duplicated,
+        missing=tuple(sorted(k for k, v in balance.items() if v < 0)),
+        duplicated=tuple(sorted(k for k, v in balance.items() if v > 0)),
     )
 
 

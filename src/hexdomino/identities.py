@@ -21,6 +21,7 @@ mismatch instead of silently patching it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from operator import lshift, mul
 from typing import Callable
 
@@ -72,8 +73,7 @@ class OracleOutcome:
 class IdentityDescriptor:
     id: str
     statement: str
-    n_lo: int
-    n_hi: int | None  # None: unbounded above
+    n_lo: int  # stated for every n >= n_lo
     provenance: str  # PAPER_STATED or CORRECTED_VARIANT
     strip_length: Callable[[int], int]
     lhs: Callable[[int], int]
@@ -81,10 +81,50 @@ class IdentityDescriptor:
     oracle: Callable[[int], OracleOutcome]
     partition_expected: Callable[[int], dict[str, int]] | None = None
 
-    def check_range(self, n: int) -> None:
-        if n < self.n_lo or (self.n_hi is not None and n > self.n_hi):
-            hi = "inf" if self.n_hi is None else str(self.n_hi)
-            raise ValueError(f"{self.id} is stated for {self.n_lo} <= n <= {hi}, got n={n}")
+    def fit(self, lo: int, hi: int, mode: str) -> range:
+        """The n in [lo, hi] inside the stated range and, in oracle mode, the cap.
+
+        Strip lengths rise with n and are at least n, so the n that fit form one
+        range and the search for the first n past the cap ends.
+        """
+        lo = max(lo, self.n_lo)
+        if mode == "oracle":
+            limit = max_cells()
+            hi = min(hi, next(n for n in count(lo) if self.strip_length(n) > limit) - 1)
+        return range(lo, hi + 1)
+
+    def check_range(self, lo: int, hi: int, mode: str) -> range:
+        """range(lo, hi + 1), after raising unless every n in it fits (see `fit`)."""
+        if mode not in ("closed", "oracle"):
+            raise ValueError(f"mode must be 'closed' or 'oracle', got {mode!r}")
+        if lo > hi:
+            raise ValueError(f"empty range: lo={lo} > hi={hi}")
+        fitted = self.fit(lo, hi, mode)
+        if fitted.start > lo:
+            raise ValueError(f"{self.id} is stated for {self.n_lo} <= n <= inf, got n={lo}")
+        if fitted.stop <= hi:
+            raise CapExceeded(
+                f"{self.id} at n={hi} needs a {self.strip_length(hi)}-cell enumeration, "
+                f"cap is {max_cells()}"
+            )
+        return fitted
+
+    def record(self, n: int, mode: str) -> IdentityRecord:
+        """Verify this identity at one n that passes `check_range`.
+
+        Closed mode compares the two evaluators.  Oracle mode also recomputes
+        the left side by enumeration and, when the identity carries a
+        partition, checks each conditioning group against its closed-form term.
+        """
+        lhs, rhs = self.lhs(n), self.rhs(n)
+        if mode == "closed":
+            return IdentityRecord(self.id, n, lhs, rhs, mode)
+        outcome = self.oracle(n)
+        groups = None
+        if self.partition_expected is not None:
+            assert outcome.groups is not None
+            groups = _group_checks(self.partition_expected(n), outcome.groups)
+        return IdentityRecord(self.id, n, lhs, rhs, mode, oracle_total=outcome.total, groups=groups)
 
 
 @dataclass(frozen=True)
@@ -339,7 +379,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm1",
             statement="T(n) = T(n-1) + T(n-2) + T(n-3) + T(n-4)",
-            n_lo=4, n_hi=None, provenance=PAPER_STATED,
+            n_lo=4, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: tet(n),
             rhs=lambda n: tet(n - 1) + tet(n - 2) + tet(n - 3) + tet(n - 4),
@@ -349,7 +389,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm2_num",
             statement="2 T(n-1) = T(n) + T(n-5)",
-            n_lo=6, n_hi=None, provenance=PAPER_STATED,
+            n_lo=6, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: 2 * tet(n - 1),
             rhs=lambda n: tet(n) + tet(n - 5),
@@ -359,7 +399,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm3",
             statement="T(2n) = T(n)^2 + T(n-1)^2 + T(n-2)^2 + 2 T(n-1) (T(n-2) + T(n-3))",
-            n_lo=4, n_hi=None, provenance=PAPER_STATED,
+            n_lo=4, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n),
             rhs=lambda n: tet(n) ** 2 + tet(n - 1) ** 2 + tet(n - 2) ** 2
@@ -370,7 +410,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm4",
             statement="T(n) - 1 = T(n-2) + 2 T(n-3) + 3 (T(n-4) + ... + T(1) + T(0))",
-            n_lo=5, n_hi=None, provenance=PAPER_STATED,
+            n_lo=5, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: tet(n) - 1,
             rhs=lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * sum(tet_terms(0, n - 3)),
@@ -380,7 +420,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="lemma1",
             statement="squares-and-right-inclined tilings of the 2n-strip = 2^n",
-            n_lo=0, n_hi=None, provenance=PAPER_STATED,
+            n_lo=0, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: closed_count("squares-right", 2 * n),
             rhs=lambda n: pow2(n),
@@ -389,7 +429,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm5_printed",
             statement="T(2n) - 2^n = 2 T(n-3) + sum 2^i T(2n-2i-2) + 5 sum 2^i T(2n-2i-5)",
-            n_lo=3, n_hi=None, provenance=PAPER_STATED,
+            n_lo=3, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - pow2(n),
             rhs=lambda n: _thm5_rhs(n, corrected=False),
@@ -398,7 +438,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm5_corrected",
             statement="T(2n) - 2^n = 2 T(2n-3) + sum 2^i T(2n-2i-2) + 5 sum 2^i T(2n-2i-5)",
-            n_lo=3, n_hi=None, provenance=CORRECTED_VARIANT,
+            n_lo=3, provenance=CORRECTED_VARIANT,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - pow2(n),
             rhs=lambda n: _thm5_rhs(n, corrected=True),
@@ -408,7 +448,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="lemma2",
             statement="horizontal-free tilings of the n-strip = f(n)",
-            n_lo=0, n_hi=None, provenance=PAPER_STATED,
+            n_lo=0, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: closed_count("no-horizontal", n),
             rhs=lambda n: fib(n),
@@ -417,7 +457,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="lemma3",
             statement="all-domino tilings of the 2n-strip = f(n)",
-            n_lo=0, n_hi=None, provenance=PAPER_STATED,
+            n_lo=0, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: closed_count("no-squares", 2 * n),
             rhs=lambda n: fib(n),
@@ -426,7 +466,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm6",
             statement="T(2n) - f(n) = sum_{i=1..n} T(2n+1-2i) f(i)",
-            n_lo=3, n_hi=None, provenance=PAPER_STATED,
+            n_lo=3, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - fib(n),
             rhs=lambda n: sum(map(mul, tet_terms(2 * n - 1, -1, -2), fib_terms(1, n + 1))),
@@ -436,7 +476,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm7",
             statement="T(n) - f(n) = sum_{i=1..n-2} f(i) T(n-i-2)",
-            n_lo=5, n_hi=None, provenance=PAPER_STATED,
+            n_lo=5, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: tet(n) - fib(n),
             rhs=lambda n: sum(map(mul, fib_terms(1, n - 1), tet_terms(n - 3, -1, -1))),
@@ -446,7 +486,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm8",
             statement="T(2n) - f(n)^2 = sum f(i-1)^2 T(2n-2i) + sum f(i-2) f(i-1) T(2n-2i+1)",
-            n_lo=3, n_hi=None, provenance=PAPER_STATED,
+            n_lo=3, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - fib(n) ** 2,
             rhs=_thm8_rhs,
@@ -456,7 +496,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm8c_printed",
             statement="T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i+2)",
-            n_lo=2, n_hi=None, provenance=PAPER_STATED,
+            n_lo=2, provenance=PAPER_STATED,
             strip_length=odd,
             lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
             rhs=lambda n: _thm8c_rhs(n, corrected=False),
@@ -465,7 +505,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         IdentityDescriptor(
             id="thm8c_corrected",
             statement="T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i)",
-            n_lo=2, n_hi=None, provenance=CORRECTED_VARIANT,
+            n_lo=2, provenance=CORRECTED_VARIANT,
             strip_length=odd,
             lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
             rhs=lambda n: _thm8c_rhs(n, corrected=True),
@@ -495,7 +535,7 @@ def get_identity(identity_id: str) -> IdentityDescriptor:
 def evaluate(identity_id: str, n: int) -> tuple[int, int]:
     """Exact (lhs, rhs) for an identity at n; n must lie in the stated range."""
     descriptor = get_identity(identity_id)
-    descriptor.check_range(n)
+    descriptor.check_range(n, n, "closed")
     return descriptor.lhs(n), descriptor.rhs(n)
 
 
@@ -509,43 +549,11 @@ def _group_checks(
 
 
 def verify_range(identity_id: str, lo: int, hi: int, mode: str = "closed") -> VerificationReport:
-    """Verify an identity for every n in [lo, hi].
+    """Verify an identity for every n in [lo, hi], one `IdentityDescriptor.record` each.
 
-    Closed mode compares the two evaluators.  Oracle mode recomputes the left
-    side by enumeration and, when the identity carries a partition, checks
-    each conditioning group against its closed-form term.  The range must lie
-    inside the identity's stated range; oracle mode must also fit the cap.
+    The range must lie inside the identity's stated range; oracle mode must
+    also fit the cap.
     """
     descriptor = get_identity(identity_id)
-    if mode not in ("closed", "oracle"):
-        raise ValueError(f"mode must be 'closed' or 'oracle', got {mode!r}")
-    if lo > hi:
-        raise ValueError(f"empty range: lo={lo} > hi={hi}")
-    descriptor.check_range(lo)
-    descriptor.check_range(hi)
-    if mode == "oracle":
-        limit = max_cells()
-        worst = max(descriptor.strip_length(lo), descriptor.strip_length(hi))
-        if worst > limit:
-            raise CapExceeded(
-                f"{identity_id} at n={hi} needs a {worst}-cell enumeration, cap is {limit}"
-            )
-    records = []
-    for n in range(lo, hi + 1):
-        lhs, rhs = descriptor.lhs(n), descriptor.rhs(n)
-        if mode == "closed":
-            records.append(IdentityRecord(descriptor.id, n, lhs, rhs, mode))
-            continue
-        outcome = descriptor.oracle(n)
-        groups = None
-        if descriptor.partition_expected is not None:
-            assert outcome.groups is not None
-            groups = _group_checks(descriptor.partition_expected(n), outcome.groups)
-        records.append(
-            IdentityRecord(
-                descriptor.id, n, lhs, rhs, mode,
-                oracle_total=outcome.total,
-                groups=groups,
-            )
-        )
-    return VerificationReport(id=descriptor.id, mode=mode, records=tuple(records))
+    records = tuple(descriptor.record(n, mode) for n in descriptor.check_range(lo, hi, mode))
+    return VerificationReport(id=descriptor.id, mode=mode, records=records)

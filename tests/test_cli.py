@@ -1,4 +1,8 @@
 """Command-line behavior: outputs, exit codes, determinism, the cap."""
+import dataclasses
+import hashlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -6,7 +10,7 @@ import sys
 from pathlib import Path
 
 import hexdomino
-from hexdomino import tetranacci
+from hexdomino import identities, tetranacci
 from hexdomino.cli import main
 
 GOLDEN_N4 = [
@@ -191,14 +195,75 @@ def test_verify_all_with_nothing_to_check_is_usage_error(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("usage error:")
 
 
-def test_verify_single_identity_strict_range(capsys):
-    code, _, err = run(capsys, "verify", "--identity", "thm1", "--from", "2", "--to", "5")
-    assert code == 1
+def test_verify_single_identity_strict_range(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "--identity", "thm1", "--from", "2", "--to", "5")
+    assert (code, out) == (1, "")
     assert "stated for" in err
-    code, _, _ = run(
+    code, out, err = run(
         capsys, "verify", "--identity", "thm3", "--from", "4", "--to", "20", "--mode", "oracle"
     )
-    assert code == 1
+    assert (code, out) == (1, "")
+    assert "cap exceeded" in err
+    # only the last n is over the cap (10 cells against 8): still nothing printed
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "8")
+    code, out, err = run(
+        capsys, "verify", "--identity", "thm3", "--from", "4", "--to", "5", "--mode", "oracle"
+    )
+    assert (code, out) == (1, "")
+    assert "cap exceeded" in err
+
+
+def test_verify_prints_each_record_before_computing_the_next(monkeypatch):
+    events = []
+
+    def logged(descriptor):
+        def lhs(n):
+            events.append("compute")
+            return descriptor.lhs(n)
+        return dataclasses.replace(descriptor, lhs=lhs)
+
+    registry = tuple(logged(d) for d in identities.list_identities())
+    monkeypatch.setattr(identities, "_REGISTRY", registry)
+    monkeypatch.setattr(identities, "_BY_ID", {d.id: d for d in registry})
+
+    class LoggedStdout(io.StringIO):
+        def write(self, text):
+            events.append("write")
+            return super().write(text)
+
+    for argv, expected_code in (
+        (("--identity", "all", "--from", "0", "--to", "8"), 2),  # the printed variants differ
+        (("--identity", "thm4", "--mode", "oracle", "--from", "5", "--to", "9"), 0),
+    ):
+        events.clear()
+        stdout = LoggedStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["verify", *argv]) == expected_code
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) > 1
+        # one record computed, then its line written, then the next record
+        assert [kind for kind, _ in itertools.groupby(events)] == ["compute", "write"] * len(lines)
+
+
+# sha256 of stdout for fixed commands: any change to these bytes changes the
+# output contract that scripts reading the JSONL rely on.
+STDOUT_SHA256 = {
+    ("verify", "--identity", "all", "--from", "0", "--to", "60", "--expect-mismatch"):
+        "f9d112d9a642da3ddea27ef4e2f20c0efe1b5f4d34ceb5ad001e69409001f82c",
+    ("verify", "--identity", "all", "--mode", "oracle", "--from", "0", "--to", "10",
+     "--expect-mismatch"):
+        "48fe26c63ef2f1c81e5d2c27d0d177a062b0792784f7b77fd2e23d80f7ef6cad",
+    ("enumerate", "--n", "8", "--format", "jsonl"):
+        "bf37b4c07d6530cb84850bb2194a19763df6e7f0470622536c60aeaca85a5800",
+}
+
+
+def test_stdout_matches_recorded_digests(capsys, monkeypatch):
+    monkeypatch.delenv("HEXDOMINO_MAX_N", raising=False)
+    for argv, digest in STDOUT_SHA256.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_verify_unknown_identity(capsys):
@@ -243,6 +308,8 @@ def test_bijection_reports(capsys):
 def test_bijection_thm2_below_range(capsys):
     code, _, _ = run(capsys, "bijection", "--name", "thm2", "--n", "4")
     assert code == 1
+    code, out, _ = run(capsys, "bijection", "--name", "thm2", "--n", "5")
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_sequences_tables(capsys):
@@ -287,6 +354,8 @@ def test_cap_env_garbage_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "plenty")
     code, _, _ = run(capsys, "enumerate", "--n", "3")
     assert code == 1
+    code, out, _ = run(capsys, "verify", "--identity", "thm4", "--from", "5", "--to", "6")
+    assert (code, out) == (1, "")
     code, out, _ = run(capsys, "count", "--n", "3")
     assert (code, out) == (0, "4\n")
 

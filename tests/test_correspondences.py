@@ -6,6 +6,7 @@ from hexdomino import (
     CapExceeded,
     Tile,
     Tiling,
+    correspondences,
     enumerate_single_strip,
     enumerate_tilings,
     fibonacci_comb,
@@ -19,6 +20,7 @@ from hexdomino import (
     thm2_verify,
     to_tokens,
 )
+from hexdomino.cli import main
 
 
 def single_tokens(single):
@@ -103,14 +105,35 @@ def test_thm2_verify_pinned_sizes():
 
 def test_thm2_verify_range_guard():
     with pytest.raises(ValueError):
-        thm2_verify(5)
-    with pytest.raises(ValueError):
-        thm2_verify(4, extended=True)
+        thm2_verify(4)
+
+
+def test_thm2_verify_reports_a_broken_cover(monkeypatch, capsys):
+    # the first input's second image repeats its first image
+    real_map = correspondences.thm2_map
+    victim = next(enumerate_tilings(7))
+
+    def broken_map(tiling):
+        first, second = real_map(tiling)
+        return (first, first) if tiling == victim else (first, second)
+
+    monkeypatch.setattr(correspondences, "thm2_map", broken_map)
+    report = thm2_verify(8)
+    assert report.duplicated == ("8:S1 S2 S3 S4 S5 S6 S7 S8",)
+    assert report.missing == ("8:S1 S2 S3 S4 S5 S6 I8",)
+    assert (report.inputs, report.outputs, report.expected_total) == (
+        tetranacci(7),
+        2 * tetranacci(7),
+        tetranacci(8) + tetranacci(3),
+    )
+    assert not report.ok
+    assert main(["bijection", "--name", "thm2", "--n", "8"]) == 2
+    assert '"missing":1,"duplicated":1,"ok":false' in capsys.readouterr().out
 
 
 def test_thm2_verify_extension_holds_at_n5():
     # below the stated range, but the stacked case lands on the empty tiling
-    report = thm2_verify(5, extended=True)
+    report = thm2_verify(5)
     assert report.ok
     assert report.outputs == 16
 
