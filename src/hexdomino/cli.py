@@ -1,8 +1,8 @@
 """Command-line front end: counting, enumeration, rendering, verification.
 
 Exit codes: 0 on success, 1 on usage/parse/cap errors, 2 when a verification
-command ran but found a mismatch.  Identical invocations print byte-identical
-output; all machine-readable output is JSONL with compact separators.
+command ran but found a mismatch, 130 when interrupted.  Identical invocations
+print byte-identical output; machine output is JSONL with compact separators.
 """
 from __future__ import annotations
 
@@ -202,15 +202,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help prints and exits 0 inside argparse
-        return int(exc.code or 0)
-    try:
         code = args.handler(args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:  # --help prints and exits 0 inside argparse
+        return int(exc.code or 0)
     except BrokenPipeError:
         # The reader closed stdout (`hexdomino enumerate ... | head`).  Point
         # stdout at devnull so the interpreter's flush at exit cannot fail too.
@@ -223,9 +219,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # e.g. a closed form at a size no memory can hold
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

@@ -8,10 +8,10 @@ already covered", and `_moves` lists the tiles that can cover c from it, in
 canonical order: Square@c, then Inclined@(c+1), then Horizontal@(c+2).
 
 Two consumers share those moves.  `enumerate_tilings` walks them depth first
-and materializes each tiling.  Counting and partitions fold them backward over
-the frontier states (the transfer-matrix method), so their cost grows with n
-rather than with the number of tilings, and they never consult the Tetranacci
-recurrence they are used to check.
+and materializes each tiling.  Counts, partitions and window tallies fold them
+backward over the frontier states (the transfer-matrix method), each with its
+own per-path carry, so their cost grows with n rather than with the number of
+tilings, and they never consult the Tetranacci recurrence they are used to check.
 """
 from __future__ import annotations
 
@@ -131,23 +131,20 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
     return walk()
 
 
-def _fold(n: int, allowed: frozenset[str], tracked: frozenset[str]) -> dict[int | None, int]:
-    """Count the tilings built from `allowed` tiles, grouped by first tracked tile.
+def _fold(n: int, allowed: frozenset[str], start, carry) -> dict:
+    """Count the tilings built from `allowed` tiles, grouped by a per-path key.
 
-    Folds backward over the frontier states, c = n down to 1: each state maps
-    to {minimal location of a tracked tile in the rest of the tiling, or None:
-    number of ways to finish}.  Only c = n + 1 with nothing covered ends a
-    tiling, and a state with cell c + 1 covered needs c < n.
+    Folds backward over the frontier states, c = n down to 1: each state maps to
+    {key of the rest of the tiling: ways to finish}, the empty rest keyed `start`;
+    `carry(tile, groups)` yields those pairs for `tile` placed before a rest with
+    `groups`.  Only c = n + 1 with nothing covered ends a tiling; c + 1 covered needs c < n.
     """
-    done: dict[tuple[int, bool], dict[int | None, int]] = {(n + 1, False): {None: 1}}
+    done: dict[tuple[int, bool], dict] = {(n + 1, False): {start: 1}}
     for c in range(n, 0, -1):
         for next_covered in (False, True) if c < n else (False,):
-            groups: dict[int | None, int] = {}
+            groups: dict = {}
             for tile, next_c, next_flag in _moves(c, next_covered, n, allowed):
-                hit = tile.tile_class in tracked
-                for key, count in done[next_c, next_flag].items():
-                    if hit and (key is None or tile.location < key):
-                        key = tile.location
+                for key, count in carry(tile, done[next_c, next_flag]):
                     groups[key] = groups.get(key, 0) + count
             done[c, next_covered] = groups
     return done[1, False]
@@ -160,7 +157,7 @@ def count_by_enumeration(n: int, classes=ALL_CLASSES) -> int:
     Tetranacci recurrence, so it stays an independent oracle for it.
     """
     _check_size(n)
-    return sum(_fold(n, _class_set(classes), frozenset()).values())
+    return sum(_fold(n, _class_set(classes), None, lambda tile, groups: groups.items()).values())
 
 
 def partition_by_first(n: int, classes) -> dict[int | None, int]:
@@ -173,7 +170,37 @@ def partition_by_first(n: int, classes) -> dict[int | None, int]:
     minimum instead of taking the first placement.
     """
     _check_size(n)
-    return _fold(n, ALL_CLASSES, _class_set(classes))
+    tracked = _class_set(classes)
+
+    def carry(tile: Tile, groups: dict):
+        if tile.tile_class not in tracked:
+            return groups.items()
+        # Every key past k, and None, becomes k: one pair, summed at C speed.
+        k = tile.location
+        below = [(key, count) for key, count in groups.items() if key is not None and key < k]
+        return [(k, sum(groups.values()) - sum(count for _, count in below)), *below]
+
+    return _fold(n, ALL_CLASSES, None, carry)
+
+
+def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
+    """Count the tilings of the n-cell strip by `classify` of their window.
+
+    A window is Tiling(n, ...) holding only the tiles located in lo..hi, so
+    `classify` must read nothing else; it runs once per distinct window.
+    """
+    _check_size(n)
+
+    def carry(tile: Tile, groups: dict):
+        if not lo <= tile.location <= hi:
+            return groups.items()
+        return [((tile, *window), count) for window, count in groups.items()]
+
+    tally: dict = {}
+    for window, count in _fold(n, ALL_CLASSES, (), carry).items():
+        key = classify(Tiling.of(n, window))
+        tally[key] = tally.get(key, 0) + count
+    return tally
 
 
 BREAKABLE = "breakable"
@@ -205,38 +232,37 @@ def classify_diagonal(tiling: Tiling) -> CrossingDescriptor:
 
     The only tiles that can cross diagonal d are Inclined@(d+1),
     Horizontal@(d+1), and Horizontal@(d+2); an inclined crossing excludes both
-    horizontals because they would collide on cell d or d+1.
+    horizontals because they would collide on cell d or d+1.  It reads only
+    the length and the tiles located at d..d+3 (those covering d and d+1).
     """
     if tiling.length % 2 != 0:
         raise ValueError(f"classify_diagonal needs an even length, got {tiling.length}")
     d = tiling.length // 2
-    by_location = {t.location: t for t in tiling.tiles}
-    inclined = by_location.get(d + 1)
-    if inclined is not None and inclined.kind == "I":
+    kinds = {t.location: t.kind for t in tiling.tiles}
+    if kinds.get(d + 1) == "I":
         return CrossingDescriptor(INCLINED_CROSS)
-    low = by_location.get(d + 1)
-    high = by_location.get(d + 2)
-    has_low = low is not None and low.kind == "H"
-    has_high = high is not None and high.kind == "H"
+    has_low, has_high = kinds.get(d + 1) == "H", kinds.get(d + 2) == "H"
     if has_low and has_high:
         return CrossingDescriptor(BOTH_HORIZONTALS)
-    if has_low:
-        kind = tile_at(tiling, d).kind
-        assert kind in ("S", "H")
-        return CrossingDescriptor(LOW_HORIZONTAL, "square" if kind == "S" else "horizontal")
-    if has_high:
-        kind = tile_at(tiling, d + 1).kind
-        assert kind in ("S", "H")
-        return CrossingDescriptor(HIGH_HORIZONTAL, "square" if kind == "S" else "horizontal")
-    return CrossingDescriptor(BREAKABLE)
+    if not (has_low or has_high):
+        return CrossingDescriptor(BREAKABLE)
+    sub = tile_at(tiling, d if has_low else d + 1).tile_class
+    assert sub in (SQUARE, HORIZONTAL)
+    return CrossingDescriptor(LOW_HORIZONTAL if has_low else HIGH_HORIZONTAL, sub)
+
+
+def last_tile_group(tiling: Tiling) -> str:
+    """thm1's group of a tiling of n >= 1 cells: its last tile, and for a last
+    horizontal the tile at cell n - 1.  Reads only the tiles located at n-1..n."""
+    last = tiling.tiles[-1]
+    if last.kind != "H":
+        return "square" if last.kind == "S" else "inclined"
+    return "horizontal+" + tile_at(tiling, tiling.length - 1).tile_class
 
 
 def histogram_by_descriptor(n: int) -> dict[CrossingDescriptor, int]:
-    """Crossing-descriptor counts over all tilings of the 2n-cell strip."""
+    """Crossing-descriptor counts over all tilings of the 2n-cell strip; `n` is a
+    half-length so that it pairs with thm3's T(2n) and `thm3_expected_histogram(n)`."""
     if n < 0:
         raise ValueError(f"half-length must be >= 0, got {n}")
-    histogram: dict[CrossingDescriptor, int] = {}
-    for tiling in enumerate_tilings(2 * n):
-        descriptor = classify_diagonal(tiling)
-        histogram[descriptor] = histogram.get(descriptor, 0) + 1
-    return histogram
+    return tally_by_window(2 * n, n, n + 3, classify_diagonal)

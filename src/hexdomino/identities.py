@@ -5,10 +5,11 @@ expression in Tetranacci and Fibonacci numbers (the right side).  Closed mode
 compares the two evaluators; the left sides of the restricted-family lemmas
 read `sequences.closed_count`, the table `hexdomino count --classes` prints,
 so closed mode checks that table against the paper's 2^n and f(n).  Oracle
-mode recomputes the left side from tile geometry (exhaustive enumeration or
-the enumerator's frontier fold) and, where the defining argument conditions
-on a tile (first domino, first square, crossing of the middle diagonal,
-...), checks every conditioning group against its closed-form term.
+mode recomputes the left side from tile geometry, by the enumerator's frontier
+fold (thm2_num alone checks its correspondence tiling by tiling) and, where the
+defining argument conditions on a tile (first domino, first square, last tile,
+crossing of the middle diagonal, ...), checks every conditioning group against
+its closed-form term; the fold's per-path carry holds the conditioning key.
 
 Two entries carry a printed right side that does not equal the left side at
 any valid n: the 2^n-complement identity's first term (printed 2T(n-3), which
@@ -30,10 +31,11 @@ from .enumerator import (
     CLASS_PRESETS,
     CapExceeded,
     count_by_enumeration,
-    enumerate_tilings,
     histogram_by_descriptor,
+    last_tile_group,
     max_cells,
     partition_by_first,
+    tally_by_window,
 )
 from .sequences import (
     closed_count,
@@ -49,7 +51,6 @@ from .strip_model import (
     LEFT_INCLINED,
     RIGHT_INCLINED,
     SQUARE,
-    tile_at,
 )
 
 PAPER_STATED = "paper-stated"
@@ -60,9 +61,9 @@ ABSENT = "absent"  # group key for tilings containing no tile of the conditioned
 
 @dataclass(frozen=True)
 class OracleOutcome:
-    """Result of recomputing an identity's left side by enumeration.
+    """Result of recomputing an identity's left side from tile geometry.
 
-    `total` is the enumerated left-side count.  `groups` maps conditioning
+    `total` is the recomputed left-side count.  `groups` maps conditioning
     keys to observed counts (None when the identity has no partition).
     """
     total: int
@@ -218,23 +219,7 @@ def _count_oracle(strip_length, classes) -> Callable[[int], OracleOutcome]:
 
 
 def _thm1_oracle(n: int) -> OracleOutcome:
-    groups = {
-        "square": 0,
-        "inclined": 0,
-        "horizontal+square": 0,
-        "horizontal+horizontal": 0,
-    }
-    for tiling in enumerate_tilings(n):
-        last = tiling.tiles[-1]
-        if last.kind == "S":
-            key = "square"
-        elif last.kind == "I":
-            key = "inclined"
-        elif tile_at(tiling, n - 1).kind == "S":
-            key = "horizontal+square"
-        else:
-            key = "horizontal+horizontal"
-        groups[key] += 1
+    groups = tally_by_window(n, n - 1, n, last_tile_group)
     return OracleOutcome(total=sum(groups.values()), groups=groups)
 
 
@@ -250,8 +235,7 @@ def _thm2_oracle(n: int) -> OracleOutcome:
 
 
 def _thm3_oracle(n: int) -> OracleOutcome:
-    histogram = histogram_by_descriptor(n)
-    groups = {descriptor.key: count for descriptor, count in histogram.items()}
+    groups = {descriptor.key: count for descriptor, count in histogram_by_descriptor(n).items()}
     return OracleOutcome(total=sum(groups.values()), groups=groups)
 
 

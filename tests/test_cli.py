@@ -5,8 +5,10 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hexdomino
@@ -394,3 +396,40 @@ def test_closed_stdout_is_a_one_line_error():
     assert proc.wait(timeout=60) == 1
     assert first.decode() == " ".join(f"S{i}" for i in range(1, 19)) + "\n"
     assert len(err.splitlines()) <= 1, err.decode()
+
+
+def test_interrupt_is_a_one_line_error():
+    # Ctrl-C during a slow oracle run; wait for the first record so the
+    # interpreter is inside the verification loop when the signal lands.
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]),
+               PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hexdomino", "verify", "--identity", "thm2_num",
+         "--mode", "oracle", "--from", "6", "--to", "24"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    time.sleep(1)
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert json.loads(first)["id"] == "thm2_num"
+    assert err.decode() == "interrupted\n"
+
+
+def test_out_of_memory_is_a_one_line_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hexdomino", "count", "--n", "99999999999999999999",
+         "--classes", "squares-right"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: out of memory\n")
+
+
+def test_overflow_is_a_one_line_error(capsys, monkeypatch):
+    def overflow(preset, length):
+        raise OverflowError("int too large to convert")
+
+    monkeypatch.setattr("hexdomino.cli.closed_count", overflow)
+    assert run(capsys, "count", "--n", "5") == (1, "", "error: int too large to convert\n")

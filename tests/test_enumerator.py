@@ -1,4 +1,6 @@
 """Enumeration engine: canonical order, restricted families, partitions, crossings."""
+from collections import Counter
+
 import pytest
 
 from hexdomino import (
@@ -192,6 +194,19 @@ def test_histogram_matches_closed_terms():
         expected = thm3_expected_histogram(n)
         for key, value in expected.items():
             assert observed.get(key, 0) == value, f"{key} at n={n}"
+
+
+def test_histogram_equals_exhaustive_classification():
+    # the fold classifies each distinct window once; the reference classifies every tiling
+    for h in range(10):
+        exhaustive = Counter(classify_diagonal(t) for t in enumerate_tilings(2 * h))
+        assert histogram_by_descriptor(h) == exhaustive, h
+
+
+def test_histogram_past_the_cap(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "1000")
+    observed = {d.key: v for d, v in histogram_by_descriptor(500).items()}
+    assert observed == thm3_expected_histogram(500)
 
 
 def test_cap_default_and_violation():

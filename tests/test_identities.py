@@ -1,9 +1,12 @@
 """Identity registry: closed evaluation, oracle verification, partition checks."""
+from collections import Counter
+
 import pytest
 
 from hexdomino import (
     CapExceeded,
     closed_count,
+    enumerate_tilings,
     evaluate,
     fibonacci_comb as fib,
     get_identity,
@@ -14,6 +17,7 @@ from hexdomino import (
     thm3_expected_histogram,
     verify_range,
 )
+from hexdomino.enumerator import last_tile_group
 
 REGISTRY_ORDER = [
     "thm1",
@@ -51,9 +55,9 @@ LOWER_BOUNDS = {
 
 # oracle-enumerable spans under the default 24-cell cap
 ORACLE_SPANS = {
-    "thm1": (4, 9),
+    "thm1": (4, 24),
     "thm2_num": (6, 9),
-    "thm3": (4, 6),
+    "thm3": (4, 12),
     "thm4": (5, 9),
     "lemma1": (0, 9),
     "thm5_printed": (3, 5),
@@ -241,6 +245,21 @@ def test_thm1_tail_groups():
         "horizontal+square": tetranacci(5),
         "horizontal+horizontal": tetranacci(4),
     }
+
+
+def test_thm1_groups_equal_exhaustive_last_tile_rule():
+    oracle = get_identity("thm1").oracle
+    for n in range(1, 19):
+        exhaustive = Counter(last_tile_group(t) for t in enumerate_tilings(n))
+        assert oracle(n).groups == exhaustive, n
+
+
+def test_thm1_groups_past_the_cap(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "1000")
+    descriptor = get_identity("thm1")
+    outcome = descriptor.oracle(1000)
+    assert outcome.groups == descriptor.partition_expected(1000)
+    assert outcome.total == tet(1000)
 
 
 def test_thm2_synthetic_groups():

@@ -6,6 +6,7 @@ from hexdomino import (
     ALL_CLASSES,
     Tiling,
     UnbreakableError,
+    classify_diagonal,
     is_breakable,
     parse_tokens,
     split_at,
@@ -13,7 +14,7 @@ from hexdomino import (
     to_tokens,
     validate,
 )
-from hexdomino.enumerator import _moves
+from hexdomino.enumerator import _moves, last_tile_group
 
 
 @st.composite
@@ -51,3 +52,17 @@ def test_thm2_images_are_valid(tiling):
     assert validate(first) == [] and validate(second) == []
     assert first.length == tiling.length + 1
     assert second.length in (tiling.length + 1, tiling.length - 4)
+
+
+def window(tiling, lo, hi):
+    """The tiling's length with only its tiles located in lo..hi."""
+    return Tiling.of(tiling.length, [t for t in tiling.tiles if lo <= t.location <= hi])
+
+
+@given(tilings(min_length=1))
+def test_per_tiling_rules_read_only_their_window(tiling):
+    n = tiling.length
+    assert last_tile_group(window(tiling, n - 1, n)) == last_tile_group(tiling)
+    if n % 2 == 0:
+        d = n // 2
+        assert classify_diagonal(window(tiling, d, d + 3)) == classify_diagonal(tiling)
