@@ -7,11 +7,14 @@ frontier state is therefore just (c, flag) where the flag says "cell c+1 is
 already covered", and `_moves` lists the tiles that can cover c from it, in
 canonical order: Square@c, then Inclined@(c+1), then Horizontal@(c+2).
 
-Two consumers share those moves.  `enumerate_tilings` walks them depth first
-and materializes each tiling.  Counts, partitions and window tallies fold them
-backward over the frontier states (the transfer-matrix method), each with its
-own per-path carry, so their cost grows with n rather than with the number of
-tilings, and they never consult the Tetranacci recurrence they are used to check.
+`_transitions` compiles those moves once per (n, classes) into a table keyed
+by frontier state, and two consumers read it.  `enumerate_tilings` walks it
+depth first and materializes each tiling; it holds each horizontal placed at
+the frontier until the next move, so the path's tiles stay in location order.
+Counts, partitions and window tallies fold the table backward over the
+frontier states (the transfer-matrix method), each with its own per-path
+carry, so their cost grows with n rather than with the number of tilings, and
+they never consult the Tetranacci recurrence they are used to check.
 """
 from __future__ import annotations
 
@@ -95,38 +98,72 @@ def _moves(
             yield Tile(c + 2, "H"), c + 1, True
 
 
+def _transitions(n: int, class_set: frozenset[str]) -> dict[tuple[int, bool], tuple]:
+    """The compiled automaton: {(c, flag): tuple(_moves(c, flag, n, class_set))}.
+
+    Every frontier state of the n-cell strip is a key, from c = n down to 1,
+    so each state comes after the states its moves lead to.  Equal tiles are
+    one object, so each tile's token is formatted at most once per table.
+    """
+    shared: dict[Tile, Tile] = {}
+    table: dict[tuple[int, bool], tuple] = {}
+    for c in range(n, 0, -1):
+        for next_covered in (False, True) if c < n else (False,):
+            table[c, next_covered] = tuple(
+                (shared.setdefault(tile, tile), next_c, next_flag)
+                for tile, next_c, next_flag in _moves(c, next_covered, n, class_set)
+            )
+    return table
+
+
 def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
     """Yield every tiling of the n-cell strip using allowed tile classes only.
 
     Canonical order; each tiling appears exactly once.  Restriction prunes at
-    choice time rather than filtering a full enumeration afterwards.
+    choice time rather than filtering a full enumeration afterwards.  The walk
+    reads the compiled `_transitions` table, so no tile is built per step.  It
+    holds each horizontal placed at the frontier until the next move, which
+    lands just below or just above it, so the path's tiles stay in location
+    order and each tiling is yielded without a sort.
     """
     _check_size(n)
     class_set = _class_set(classes)
 
     def walk() -> Iterator[Tiling]:
-        # Depth first with an explicit stack holding the untried moves of each
-        # frontier state on the current path, so the strip length is not bound
-        # by the interpreter's recursion limit.
+        # Depth first with an explicit stack, so the strip length is not bound
+        # by the interpreter's recursion limit.  A frame holds the untried moves
+        # of one frontier state on the current path, the number of path tiles
+        # placed before it, and a held horizontal or None.
         if n == 0:
-            yield Tiling.of(0, ())
+            yield Tiling(0, ())
             return
+        table = _transitions(n, class_set)
         tiles: list[Tile] = []
-        stack = [_moves(1, False, n, class_set)]
+        stack = [(iter(table[1, False]), 0, None)]
         while stack:
-            move = next(stack[-1], None)
+            moves, depth, held = stack[-1]
+            move = next(moves, None)
             if move is None:
                 stack.pop()
-                if tiles:
-                    tiles.pop()
                 continue
             tile, next_c, next_flag = move
-            tiles.append(tile)
-            if next_c > n:
-                yield Tiling.of(n, tiles)
-                tiles.pop()
+            del tiles[depth:]
+            if next_flag:
+                # H@(c+2) skips cell c+1.  The next move covers c+1 with S@(c+1),
+                # which lies below the horizontal, or with H@(c+3), which lies
+                # above it; hold the horizontal until then.
+                stack.append((iter(table[next_c, True]), depth, tile))
+                continue
+            if held is None:
+                tiles.append(tile)
+            elif tile.location < held.location:
+                tiles += (tile, held)
             else:
-                stack.append(_moves(next_c, next_flag, n, class_set))
+                tiles += (held, tile)
+            if next_c > n:
+                yield Tiling(n, tuple(tiles))
+            else:
+                stack.append((iter(table[next_c, False]), len(tiles), None))
 
     return walk()
 
@@ -134,19 +171,18 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
 def _fold(n: int, allowed: frozenset[str], start, carry) -> dict:
     """Count the tilings built from `allowed` tiles, grouped by a per-path key.
 
-    Folds backward over the frontier states, c = n down to 1: each state maps to
-    {key of the rest of the tiling: ways to finish}, the empty rest keyed `start`;
+    Folds backward over the `_transitions` table, c = n down to 1: each state maps
+    to {key of the rest of the tiling: ways to finish}, the empty rest keyed `start`;
     `carry(tile, groups)` yields those pairs for `tile` placed before a rest with
     `groups`.  Only c = n + 1 with nothing covered ends a tiling; c + 1 covered needs c < n.
     """
     done: dict[tuple[int, bool], dict] = {(n + 1, False): {start: 1}}
-    for c in range(n, 0, -1):
-        for next_covered in (False, True) if c < n else (False,):
-            groups: dict = {}
-            for tile, next_c, next_flag in _moves(c, next_covered, n, allowed):
-                for key, count in carry(tile, done[next_c, next_flag]):
-                    groups[key] = groups.get(key, 0) + count
-            done[c, next_covered] = groups
+    for state, moves in _transitions(n, allowed).items():
+        groups: dict = {}
+        for tile, next_c, next_flag in moves:
+            for key, count in carry(tile, done[next_c, next_flag]):
+                groups[key] = groups.get(key, 0) + count
+        done[state] = groups
     return done[1, False]
 
 

@@ -22,7 +22,6 @@ mismatch instead of silently patching it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from operator import lshift, mul
 from typing import Callable
 
@@ -85,13 +84,14 @@ class IdentityDescriptor:
     def fit(self, lo: int, hi: int, mode: str) -> range:
         """The n in [lo, hi] inside the stated range and, in oracle mode, the cap.
 
-        Strip lengths rise with n and are at least n, so the n that fit form one
-        range and the search for the first n past the cap ends.
+        Strip lengths rise with n, so the n that fit form one range, and the
+        search for the first n past the cap looks only at lo..hi, whatever the cap.
         """
         lo = max(lo, self.n_lo)
         if mode == "oracle":
             limit = max_cells()
-            hi = min(hi, next(n for n in count(lo) if self.strip_length(n) > limit) - 1)
+            past = (n for n in range(lo, hi + 1) if self.strip_length(n) > limit)
+            hi = next(past, hi + 1) - 1
         return range(lo, hi + 1)
 
     def check_range(self, lo: int, hi: int, mode: str) -> range:

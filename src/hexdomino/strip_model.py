@@ -15,6 +15,8 @@ covers cells on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 SQUARE = "square"
 RIGHT_INCLINED = "right-inclined"
@@ -56,8 +58,13 @@ class Tile:
             return HORIZONTAL
         return RIGHT_INCLINED if self.location % 2 == 0 else LEFT_INCLINED
 
-    def __str__(self) -> str:
+    @cached_property
+    def token(self) -> str:
+        """`S<k>`/`I<k>`/`H<k>`, formatted on first use and then read at C speed."""
         return f"{self.kind}{self.location}"
+
+    def __str__(self) -> str:
+        return self.token
 
 
 def cells_of(tile: Tile) -> frozenset[int]:
@@ -112,7 +119,7 @@ def validate(tiling: Tiling) -> list[str]:
 
 def to_tokens(tiling: Tiling) -> str:
     """Space-separated `S<k>`/`I<k>`/`H<k>` tokens in ascending k; "" for n = 0."""
-    return " ".join(str(t) for t in tiling.tiles)
+    return " ".join(map(attrgetter("token"), tiling.tiles))
 
 
 def parse_tokens(text: str, expected_length: int) -> Tiling:

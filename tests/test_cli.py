@@ -257,6 +257,18 @@ STDOUT_SHA256 = {
         "48fe26c63ef2f1c81e5d2c27d0d177a062b0792784f7b77fd2e23d80f7ef6cad",
     ("enumerate", "--n", "8", "--format", "jsonl"):
         "bf37b4c07d6530cb84850bb2194a19763df6e7f0470622536c60aeaca85a5800",
+    ("enumerate", "--n", "14", "--classes", "all"):
+        "6b902a6a01d9404e043f6685775dcb019142544b5945de848876c7583314f117",
+    ("enumerate", "--n", "14", "--classes", "no-horizontal"):
+        "da940962133b71be433a1c8d6ce4c2447ed62ca7c3797783ee3ca856a2309a0d",
+    ("enumerate", "--n", "14", "--classes", "no-squares"):
+        "f4f206ec81576efc6acccd252879fe176d588c91a9c60dd881b24268adf0635b",
+    ("enumerate", "--n", "14", "--classes", "squares-right"):
+        "f15967d577f34935ce2b7edaa4e255a7494542fefaa649115c809169f663dcf2",
+    ("enumerate", "--n", "12", "--classes", "no-squares", "--format", "jsonl"):
+        "271b92ff698a447ddff6aa66e91c12245acab86f3360f25a8e814493dcedd2c8",
+    ("bijection", "--name", "lemma3", "--n", "7"):
+        "e8c0a233b58ffbff3a7b62c92c87afd3c29379a8f1e60044af65fcf1c4b6ab80",
 }
 
 
@@ -350,6 +362,21 @@ def test_cap_env_respected(capsys, monkeypatch):
     # count prints the closed form and never reads the cap
     code, out, _ = run(capsys, "count", "--n", "7")
     assert (code, out) == (0, "56\n")
+
+
+def test_huge_cap_does_not_slow_a_one_record_oracle_run():
+    # the cap search looks only at --from..--to, not at every n up to the cap
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]),
+               HEXDOMINO_MAX_N="1000000000")
+    result = subprocess.run(
+        [sys.executable, "-m", "hexdomino", "verify", "--identity", "thm4", "--mode", "oracle",
+         "--from", "5", "--to", "5"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    (line,) = result.stdout.splitlines()
+    record = json.loads(line)
+    assert (record["id"], record["n"], record["ok"]) == ("thm4", 5, True)
 
 
 def test_cap_env_garbage_is_usage_error(capsys, monkeypatch):

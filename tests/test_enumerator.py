@@ -1,9 +1,11 @@
 """Enumeration engine: canonical order, restricted families, partitions, crossings."""
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from hexdomino import (
+    ALL_CLASSES,
     CLASS_PRESETS,
     DOMINO_CLASSES,
     HORIZONTAL,
@@ -11,6 +13,8 @@ from hexdomino import (
     RIGHT_INCLINED,
     SQUARE,
     CapExceeded,
+    Tile,
+    Tiling,
     classify_diagonal,
     count_by_enumeration,
     enumerate_tilings,
@@ -130,6 +134,41 @@ def test_partition_totals_and_agreement_with_direct_scan():
                 key = first_tile_of_class(tiling, classes)
                 direct[key] = direct.get(key, 0) + 1
             assert groups == direct
+
+
+CLASS_SETS = [
+    frozenset(subset)
+    for size in range(1, 5)
+    for subset in combinations(sorted(ALL_CLASSES), size)
+]
+
+
+def reference_walk(n, classes):
+    """The canonical order from cell sets alone: cover the lowest free cell with
+    S@c, then I@(c+1), then H@(c+2); build fresh tiles and sort each leaf."""
+    def extend(covered, tiles):
+        free = [c for c in range(1, n + 1) if c not in covered]
+        if not free:
+            yield Tiling.of(n, tiles)
+            return
+        c = free[0]
+        for tile, cells in ((Tile(c, "S"), {c}), (Tile(c + 1, "I"), {c, c + 1}),
+                            (Tile(c + 2, "H"), {c, c + 2})):
+            if tile.tile_class in classes and max(cells) <= n and not cells & covered:
+                yield from extend(covered | cells, [*tiles, tile])
+
+    return list(extend(frozenset(), []))
+
+
+def test_walk_matches_reference_and_yields_canonical_tilings():
+    assert len(CLASS_SETS) == 15
+    for classes in CLASS_SETS:
+        for n in range(15):
+            walked = list(enumerate_tilings(n, classes))
+            for tiling in walked:
+                assert validate(tiling) == []
+                assert tiling == Tiling.of(tiling.length, tiling.tiles)
+            assert walked == reference_walk(n, classes), (sorted(classes), n)
 
 
 def test_deep_strips_fold_without_recursion(monkeypatch):

@@ -275,6 +275,18 @@ def test_thm6_has_no_group_at_last_even_location():
         assert str(2 * record.n) not in keys
 
 
+def test_fit_searches_only_the_requested_range(monkeypatch):
+    # a huge cap must not make the search for the first n past it step up to the cap
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "1000000000")
+    assert get_identity("thm4").fit(5, 5, "oracle") == range(5, 6)
+    assert get_identity("thm3").fit(0, 40, "oracle") == range(4, 41)
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "12")
+    assert get_identity("thm3").fit(0, 40, "oracle") == range(4, 7)
+    assert get_identity("thm3").fit(4, 7, "oracle") == range(4, 7)
+    assert get_identity("thm3").fit(7, 40, "oracle") == range(7, 7)
+    assert get_identity("thm4").fit(9, 3, "oracle") == range(9, 4)
+
+
 def test_verify_range_argument_errors():
     with pytest.raises(ValueError):
         verify_range("thm1", 10, 4)

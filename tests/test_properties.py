@@ -35,6 +35,15 @@ def test_tokens_round_trip(tiling):
 
 
 @given(tilings())
+def test_tokens_spell_each_tile(tiling):
+    # drawn tilings and thm2_map's images hold tiles built outside the walk's table
+    images = thm2_map(tiling) if tiling.length >= 4 else ()
+    for t in (tiling, *images):
+        assert to_tokens(t) == " ".join(f"{x.kind}{x.location}" for x in t.tiles)
+        assert parse_tokens(to_tokens(t), t.length) == t
+
+
+@given(tilings())
 def test_breakable_iff_split_succeeds(tiling):
     for d in range(tiling.length + 1):
         try:

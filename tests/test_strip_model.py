@@ -1,4 +1,6 @@
 """Geometry core: tiles, tilings, validation, tokens, splitting, rendering."""
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,6 +56,23 @@ def test_tile_location_minimums():
 
 def test_tile_str():
     assert str(Tile(3, "I")) == "I3"
+
+
+def test_tile_api_is_its_two_fields():
+    # the cached token is not a field: equality, hash, order and repr ignore it
+    assert tuple(f.name for f in dataclasses.fields(Tile)) == ("location", "kind")
+    tile = Tile(4, "H")
+    assert tile.token == "H4"
+    assert repr(tile) == "Tile(location=4, kind='H')"
+    assert tile == Tile(4, "H") and hash(tile) == hash(Tile(4, "H"))
+    assert hash(tile) == hash((4, "H"))
+    assert tile != Tile(4, "I") and tile != Tile(5, "H")
+    assert sorted([Tile(4, "S"), Tile(3, "I"), Tile(4, "I")]) == [
+        Tile(3, "I"), Tile(4, "I"), Tile(4, "S")
+    ]
+    assert Tile(3, "H") < Tile(4, "H") and Tile(4, "H") < Tile(4, "S")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tile.location = 5
 
 
 def test_validate_accepts_known_tilings():
