@@ -10,7 +10,8 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from itertools import islice
 
 from .correspondences import (
     enumerate_single_strip,
@@ -24,6 +25,25 @@ from .enumerator import CLASS_PRESETS, CapExceeded, enumerate_tilings, max_cells
 from .identities import get_identity, list_identities
 from .sequences import closed_count, fibonacci_comb, tetranacci
 from .strip_model import ParseError, parse_tokens, render_ascii, to_tokens
+
+
+# Bulk output goes out in blocks of this many lines, one `write` per block.
+# On unbuffered stdout (`python -u`, PYTHONUNBUFFERED) a `print` per line
+# costs two system calls, and on a terminal one.
+_BLOCK_LINES = 1024
+
+# One compact encoder for every JSON line; `json.dumps(..., separators=...)`
+# builds a new encoder per call.
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line plus a newline to stdout, _BLOCK_LINES lines per write."""
+    lines = iter(lines)
+    write = sys.stdout.write
+    while block := list(islice(lines, _BLOCK_LINES)):
+        block.append("")  # the join then ends the block with a newline
+        write("\n".join(block))
 
 
 class _UsageError(Exception):
@@ -45,12 +65,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    for tiling in enumerate_tilings(args.n, CLASS_PRESETS[args.classes]):
-        if args.format == "tokens":
-            print(to_tokens(tiling))
-        else:
-            record = {"n": args.n, "tokens": to_tokens(tiling)}
-            print(json.dumps(record, separators=(",", ":")))
+    lines = map(to_tokens, enumerate_tilings(args.n, CLASS_PRESETS[args.classes]))
+    if args.format == "jsonl":
+        lines = (_to_json({"n": args.n, "tokens": tokens}) for tokens in lines)
+    _write_lines(lines)
     return 0
 
 
@@ -74,11 +92,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         descriptor = get_identity(args.identity)
         runs = [(descriptor, descriptor.check_range(args.start, args.stop, args.mode))]
     # Every range error is raised above, before the first record is printed.
+    # Records stream: each is written, in one call, as soon as it is built.
+    write = sys.stdout.write
     all_ok = True
     for descriptor, span in runs:
         for n in span:
             record = descriptor.record(n, args.mode)
-            print(json.dumps(record.to_json_dict(), separators=(",", ":")))
+            write(_to_json(record.to_json_dict()) + "\n")
             passed = record.checks_ok if args.expect_mismatch else record.ok
             all_ok = all_ok and passed
     return 0 if all_ok else 2
@@ -130,7 +150,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.name != "thm2" and args.n < 0:
         raise _UsageError(f"--n must be >= 0, got {args.n}")
     payload = _bijection_payload(args.name, args.n)
-    print(json.dumps(payload, separators=(",", ":")))
+    print(_to_json(payload))
     return 0 if payload["ok"] else 2
 
 
@@ -138,8 +158,7 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise _UsageError(f"--from must be <= --to, got {args.start}..{args.stop}")
     term = tetranacci if args.name == "T" else fibonacci_comb
-    for i in range(args.start, args.stop + 1):
-        print(f"{i}\t{term(i)}")
+    _write_lines(f"{i}\t{term(i)}" for i in range(args.start, args.stop + 1))
     return 0
 
 

@@ -96,7 +96,7 @@ def thm2_map(tiling: Tiling) -> tuple[Tiling, Tiling]:
     if violations:
         raise ValueError(f"input tiling is invalid: {'; '.join(violations)}")
     n = m + 1
-    first = Tiling.of(n, tiling.tiles + (Tile(n, "S"),))
+    first = Tiling(n, tiling.tiles + (Tile(n, "S"),))  # Square@n sorts last
     last = tiling.tiles[-1]  # the tile covering cell m has location m
     if last.kind == "S":
         second = Tiling.of(n, tiling.tiles[:-1] + (Tile(n, "I"),))

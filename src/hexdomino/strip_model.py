@@ -63,17 +63,22 @@ class Tile:
         """`S<k>`/`I<k>`/`H<k>`, formatted on first use and then read at C speed."""
         return f"{self.kind}{self.location}"
 
+    @cached_property
+    def cells(self) -> frozenset[int]:
+        """The set of cells the tile covers, built on first use and then kept."""
+        if self.kind == "S":
+            return frozenset({self.location})
+        if self.kind == "I":
+            return frozenset({self.location - 1, self.location})
+        return frozenset({self.location - 2, self.location})
+
     def __str__(self) -> str:
         return self.token
 
 
 def cells_of(tile: Tile) -> frozenset[int]:
     """The set of cells the tile covers."""
-    if tile.kind == "S":
-        return frozenset({tile.location})
-    if tile.kind == "I":
-        return frozenset({tile.location - 1, tile.location})
-    return frozenset({tile.location - 2, tile.location})
+    return tile.cells
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def validate(tiling: Tiling) -> list[str]:
         if tile.location in seen_locations:
             violations.append(f"duplicate location {tile.location}")
         seen_locations.add(tile.location)
-        for cell in cells_of(tile):
+        for cell in tile.cells:
             if cell > tiling.length:
                 violations.append(f"tile {tile} covers cell {cell} beyond length {tiling.length}")
             elif cell in covered:
@@ -150,7 +155,7 @@ def tile_at(tiling: Tiling, cell: int) -> Tile:
     if not 1 <= cell <= tiling.length:
         raise ValueError(f"cell {cell} out of range 1..{tiling.length}")
     for tile in tiling.tiles:
-        if cell in cells_of(tile):
+        if cell in tile.cells:
             return tile
     raise ValueError(f"cell {cell} is uncovered")
 
@@ -160,7 +165,7 @@ def is_breakable(tiling: Tiling, d: int) -> bool:
     if not 0 <= d <= tiling.length:
         raise ValueError(f"diagonal {d} out of range 0..{tiling.length}")
     for tile in tiling.tiles:
-        cells = cells_of(tile)
+        cells = tile.cells
         if min(cells) <= d < max(cells):
             return False
     return True
@@ -204,7 +209,7 @@ def render_ascii(tiling: Tiling) -> str:
     """
     covering: dict[int, Tile] = {}
     for tile in tiling.tiles:
-        for cell in cells_of(tile):
+        for cell in tile.cells:
             covering[cell] = tile
     def row(cells: range) -> str:
         return " ".join(

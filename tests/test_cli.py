@@ -245,6 +245,7 @@ def test_verify_prints_each_record_before_computing_the_next(monkeypatch):
         assert len(lines) > 1
         # one record computed, then its line written, then the next record
         assert [kind for kind, _ in itertools.groupby(events)] == ["compute", "write"] * len(lines)
+        assert events.count("write") == len(lines)  # one write call per record
 
 
 # sha256 of stdout for fixed commands: any change to these bytes changes the
@@ -269,6 +270,16 @@ STDOUT_SHA256 = {
         "271b92ff698a447ddff6aa66e91c12245acab86f3360f25a8e814493dcedd2c8",
     ("bijection", "--name", "lemma3", "--n", "7"):
         "e8c0a233b58ffbff3a7b62c92c87afd3c29379a8f1e60044af65fcf1c4b6ab80",
+    # bulk output is written in blocks of 1,024 lines: exactly one block,
+    # exactly two, many with a partial last block, and long lines
+    ("enumerate", "--n", "20", "--classes", "squares-right"):
+        "ef5b00bf5f01579f1714462c9ee32eb9593dbd82c72a171a23fe1ebe4d2541a5",
+    ("enumerate", "--n", "22", "--classes", "squares-right"):
+        "08b7174fac1fa80ed978d123ebea23909e707d0558b09e7583a991b34f37eb1a",
+    ("enumerate", "--n", "16"):
+        "590dacc024fea2e8171f711a3aa75750cc6163165b8a125840e97a292ab060bb",
+    ("sequences", "--name", "T", "--from", "0", "--to", "2100"):
+        "1e472e046461a2ed2c8a64913afa5693fdf0e7a1da1255529a546cc441249313",
 }
 
 
@@ -278,6 +289,31 @@ def test_stdout_matches_recorded_digests(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_bulk_output_is_written_in_blocks(monkeypatch):
+    for argv, lines, most_writes in (
+        (("enumerate", "--n", "16"), 20569, 21),  # 20 full blocks of 1,024 and a partial one
+        (("enumerate", "--n", "20", "--classes", "squares-right"), 1024, 1),
+        (("enumerate", "--n", "16", "--format", "jsonl"), 20569, 21),
+        (("sequences", "--name", "f", "--from", "0", "--to", "2047"), 2048, 2),
+        (("enumerate", "--n", "7", "--classes", "no-squares"), 0, 0),
+    ):
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(list(argv)) == 0
+        assert stdout.getvalue().count("\n") == lines, argv
+        assert stdout.writes <= most_writes, argv
 
 
 def test_verify_unknown_identity(capsys):
