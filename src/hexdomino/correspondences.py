@@ -12,14 +12,17 @@ Three maps, each with a verification harness:
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 
-from .enumerator import _check_size, enumerate_tilings
+from .enumerator import CanonicalRank, _check_size, enumerate_tilings
 from .strip_model import Tile, Tiling, tile_at, to_tokens, validate
 
 _SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
+
+# One object per (location, kind), so each tile's mask and token are built once.
+_tile = cache(Tile)
 
 
 @dataclass(frozen=True, order=True)
@@ -95,21 +98,21 @@ def thm2_map(tiling: Tiling) -> tuple[Tiling, Tiling]:
     violations = validate(tiling)
     if violations:
         raise ValueError(f"input tiling is invalid: {'; '.join(violations)}")
-    n = m + 1
-    first = Tiling(n, tiling.tiles + (Tile(n, "S"),))  # Square@n sorts last
-    last = tiling.tiles[-1]  # the tile covering cell m has location m
+    n, tiles = m + 1, tiling.tiles
+    # Images keep location order without a sort: each new tile lies above the
+    # tiles it joins, and the tiles dropped are the top one or two.
+    first = Tiling(n, tiles + (_tile(n, "S"),))
+    last = tiles[-1]  # the tile covering cell m has location m
     if last.kind == "S":
-        second = Tiling.of(n, tiling.tiles[:-1] + (Tile(n, "I"),))
+        second = Tiling(n, tiles[:-1] + (_tile(n, "I"),))
     elif last.kind == "I":
-        second = Tiling.of(n, tiling.tiles[:-1] + (Tile(m, "S"), Tile(n, "H")))
+        second = Tiling(n, tiles[:-1] + (_tile(m, "S"), _tile(n, "H")))
     else:
-        neighbor = tile_at(tiling, m - 1)
+        neighbor = tile_at(tiling, m - 1)  # located at m - 1, so it is tiles[-2]
         if neighbor.kind == "H":
-            rest = tuple(t for t in tiling.tiles if t not in (last, neighbor))
-            second = Tiling.of(n - 5, rest)
+            second = Tiling(n - 5, tiles[:-2])
         elif neighbor.kind == "S":
-            rest = tuple(t for t in tiling.tiles if t != neighbor)
-            second = Tiling.of(n, rest + (Tile(n, "H"),))
+            second = Tiling(n, tiles[:-2] + (last, _tile(n, "H")))
         else:
             raise AssertionError(
                 f"tile covering cell {m - 1} must be a square or a stacked horizontal, "
@@ -142,33 +145,53 @@ def thm2_verify(n: int) -> Thm2Report:
     """Check that the 1-to-2 map covers all tilings of lengths n and n-5 exactly once.
 
     Any n >= 5 is accepted: the identity is stated for n >= 6, and at n = 5
-    the stacked case lands on the empty tiling.  One signed tally decides the
-    cover: +1 per image, -1 per target tiling; a key left below zero is
-    missing, one left above zero is duplicated.
+    the stacked case lands on the empty tiling.  Each image is tallied at its
+    rank in canonical order, the tilings of length n first, then those of
+    length n - 5, so the target tilings are never listed: `thm2_map` validates
+    every image, and ranking is one-to-one from the valid tilings of a length
+    onto range(count).  A target reached no time is missing, one reached twice
+    or more is duplicated; only those are unranked, to name them.  An image of
+    any other length is reported as duplicated.
     """
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
-    balance: Counter[str] = Counter()
-    by_length: Counter[int] = Counter()
+    inputs_walk = enumerate_tilings(n - 1)  # checks n - 1 against the cap
+    _check_size(n)  # and n, before any input is walked
+    ranks = {n: CanonicalRank(n), n - 5: CanonicalRank(n - 5)}
+    offsets = {n: 0, n - 5: ranks[n].total}
+    expected_total = ranks[n].total + ranks[n - 5].total
+    seen = bytearray(expected_total)  # per target tiling: 0, 1, or 2 for more
+    by_length: dict[int, int] = {}
+    strays: set[str] = set()
     inputs = 0
-    for tiling in enumerate_tilings(n - 1):
+    for tiling in inputs_walk:
         inputs += 1
         for image in thm2_map(tiling):
-            balance[_key(image)] += 1
-            by_length[image.length] += 1
-    expected_total = 0
-    for length in (n, n - 5):
-        for tiling in enumerate_tilings(length):
-            expected_total += 1
-            balance[_key(tiling)] -= 1
+            length = image.length
+            by_length[length] = by_length.get(length, 0) + 1
+            if length not in ranks:
+                strays.add(_key(image))
+                continue
+            index = offsets[length] + ranks[length].rank(image.tiles)
+            if seen[index] < 2:
+                seen[index] += 1
+
+    def keys(count: int) -> Iterator[str]:
+        # The targets seen `count` times, found at C speed and unranked one by one.
+        index = seen.find(count)
+        while index >= 0:
+            length = n if index < offsets[n - 5] else n - 5
+            yield _key(ranks[length].unrank(index - offsets[length]))
+            index = seen.find(count, index + 1)
+
     return Thm2Report(
         n=n,
         inputs=inputs,
         outputs=sum(by_length.values()),
         expected_total=expected_total,
-        by_length=dict(by_length),
-        missing=tuple(sorted(k for k, v in balance.items() if v < 0)),
-        duplicated=tuple(sorted(k for k, v in balance.items() if v > 0)),
+        by_length=by_length,
+        missing=tuple(sorted(keys(0))),
+        duplicated=tuple(sorted(strays.union(keys(2)))),
     )
 
 

@@ -8,19 +8,22 @@ already covered", and `_moves` lists the tiles that can cover c from it, in
 canonical order: Square@c, then Inclined@(c+1), then Horizontal@(c+2).
 
 `_transitions` compiles those moves once per (n, classes) into a table keyed
-by frontier state, and two consumers read it.  `enumerate_tilings` walks it
+by frontier state, and three consumers read it.  `enumerate_tilings` walks it
 depth first and materializes each tiling; it holds each horizontal placed at
 the frontier until the next move, so the path's tiles stay in location order.
 Counts, partitions and window tallies fold the table backward over the
 frontier states (the transfer-matrix method), each with its own per-path
 carry, so their cost grows with n rather than with the number of tilings, and
 they never consult the Tetranacci recurrence they are used to check.
+`CanonicalRank` folds the table the same way to rank and unrank tilings in
+the walk's order.
 """
 from __future__ import annotations
 
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .strip_model import (
     ALL_CLASSES,
@@ -32,6 +35,8 @@ from .strip_model import (
     Tiling,
     tile_at,
 )
+
+_TOKEN = attrgetter("token")
 
 DEFAULT_MAX_CELLS = 24
 MAX_CELLS_ENV = "HEXDOMINO_MAX_N"
@@ -237,6 +242,63 @@ def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
         key = classify(Tiling.of(n, window))
         tally[key] = tally.get(key, 0) + count
     return tally
+
+
+class CanonicalRank:
+    """Rank and unrank the tilings of the n-cell strip in `enumerate_tilings(n)` order.
+
+    The walk tries each frontier state's moves in order, so a tiling's rank is
+    the sum, over its moves, of the ways to finish after each move tried before
+    it (ranking by counting: Nijenhuis & Wilf, Combinatorial Algorithms, 1978).
+    One backward fold over the `_transitions` table counts the ways to finish
+    from every state, as `_fold` does, never from the Tetranacci recurrence,
+    and sums them once per tile into a weight table: a square is tried first
+    and adds 0; I@k adds the ways from (k, False); H@k adds those plus, unless
+    it sits on H@(k-1), the ways from (k-1, False).  H@k on H@(k-1) is placed
+    from a state whose next cell is covered, the only tile whose weight that changes.
+    Neither the cap nor `validate` is consulted: `rank` reads valid tilings only.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.length = n
+        self._table = _transitions(n, ALL_CLASSES)
+        self._ways = {(n + 1, False): 1}
+        # Token -> weight of a tile placed from a state whose next cell is free,
+        # then from one whose next cell is covered.
+        self._weights: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        for state, moves in self._table.items():
+            tried = 0
+            for tile, next_c, next_flag in moves:
+                self._weights[state[1]][tile.token] = tried
+                tried += self._ways[next_c, next_flag]
+            self._ways[state] = tried
+        self.total = self._ways[1, False]
+        self._stacked_on = {f"H{k}": f"H{k - 1}" for k in range(4, n + 1)}
+
+    def rank(self, tiles: tuple[Tile, ...]) -> int:
+        """Index in `enumerate_tilings(n)` of the valid tiling with these tiles."""
+        free, covered = self._weights
+        stacked_on = self._stacked_on
+        index, below = 0, ""
+        for token in map(_TOKEN, tiles):
+            index += (covered if stacked_on.get(token) == below else free)[token]
+            below = token
+        return index
+
+    def unrank(self, index: int) -> Tiling:
+        """The tiling at `index` of `enumerate_tilings(n)`, the inverse of `rank`."""
+        if not 0 <= index < self.total:
+            raise ValueError(f"rank must be in 0..{self.total - 1}, got {index}")
+        tiles, state = [], (1, False)
+        while state[0] <= self.length:
+            for tile, next_c, next_flag in self._table[state]:
+                ways = self._ways[next_c, next_flag]
+                if index < ways:
+                    break
+                index -= ways
+            tiles.append(tile)
+            state = next_c, next_flag
+        return Tiling.of(self.length, tiles)
 
 
 BREAKABLE = "breakable"

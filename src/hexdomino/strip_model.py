@@ -72,6 +72,11 @@ class Tile:
             return frozenset({self.location - 1, self.location})
         return frozenset({self.location - 2, self.location})
 
+    @cached_property
+    def mask(self) -> int:
+        """The covered cells as a bitmask, bit c for cell c, built on first use and then kept."""
+        return sum(1 << cell for cell in self.cells)
+
     def __str__(self) -> str:
         return self.token
 
@@ -92,11 +97,33 @@ class Tiling:
         return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
 
 
+_MASK = attrgetter("mask")
+
+
 def validate(tiling: Tiling) -> list[str]:
     """Return the list of invariant violations; empty means the tiling is valid.
 
-    Each violation names the offending cell or tile.
+    Each violation names the offending cell or tile.  A valid tiling is accepted
+    at C speed from its tiles' cell masks: they hold n cells in all, sum to the
+    mask of cells 1..n, and ascend.  The first two rule out a shared cell, since
+    adding two masks with a common bit carries and each carry leaves the sum
+    fewer set bits than the masks hold; masks without a shared cell ascend
+    exactly when their tiles' locations, their highest cells, do.
     """
+    n = tiling.length
+    if n >= 0:
+        masks = list(map(_MASK, tiling.tiles))
+        if (
+            sum(map(int.bit_count, masks)) == n
+            and sum(masks) == (1 << n + 1) - 2
+            and masks == sorted(masks)
+        ):
+            return []
+    return _violations(tiling)
+
+
+def _violations(tiling: Tiling) -> list[str]:
+    """`validate`'s messages, by a per-cell walk over the tiles."""
     violations: list[str] = []
     if tiling.length < 0:
         return [f"length {tiling.length} is negative"]

@@ -1,4 +1,7 @@
 """Executable correspondences: the 1-to-2 map and both stretch bijections."""
+import sys
+from collections import Counter
+
 import pytest
 
 from hexdomino import (
@@ -15,6 +18,7 @@ from hexdomino import (
     lemma3_from_single,
     lemma3_to_single,
     parse_tokens,
+    sequences,
     tetranacci,
     thm2_map,
     thm2_verify,
@@ -129,6 +133,90 @@ def test_thm2_verify_reports_a_broken_cover(monkeypatch, capsys):
     assert not report.ok
     assert main(["bijection", "--name", "thm2", "--n", "8"]) == 2
     assert '"missing":1,"duplicated":1,"ok":false' in capsys.readouterr().out
+
+
+def string_key_cover(n):
+    """Reference for thm2_verify: one signed tally keyed by "length:tokens",
+    +1 per image and -1 per target tiling, listing both targets."""
+    balance, by_length = Counter(), Counter()
+    inputs = 0
+    for tiling in enumerate_tilings(n - 1):
+        inputs += 1
+        for image in thm2_map(tiling):
+            balance[f"{image.length}:{to_tokens(image)}"] += 1
+            by_length[image.length] += 1
+    expected_total = 0
+    for length in (n, n - 5):
+        for tiling in enumerate_tilings(length):
+            expected_total += 1
+            balance[f"{length}:{to_tokens(tiling)}"] -= 1
+    return correspondences.Thm2Report(
+        n=n,
+        inputs=inputs,
+        outputs=sum(by_length.values()),
+        expected_total=expected_total,
+        by_length=dict(by_length),
+        missing=tuple(sorted(k for k, v in balance.items() if v < 0)),
+        duplicated=tuple(sorted(k for k, v in balance.items() if v > 0)),
+    )
+
+
+def test_thm2_verify_by_rank_matches_a_string_key_tally(monkeypatch):
+    expected = {n: string_key_cover(n) for n in range(5, 15)}
+    validated = []
+    real_validate = correspondences.validate
+
+    def counted_validate(tiling):
+        validated.append(tiling.length)
+        return real_validate(tiling)
+
+    def forbidden(*args):
+        raise AssertionError("the cover check must not read the recurrence")
+
+    monkeypatch.setattr(correspondences, "validate", counted_validate)
+    for name in ("tetranacci", "tetranacci_terms"):
+        original = getattr(sequences, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("hexdomino"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, forbidden)
+    for n, reference in expected.items():
+        validated.clear()
+        assert thm2_verify(n) == reference
+        assert len(validated) == 3 * reference.inputs
+
+
+def test_thm2_verify_reports_images_of_another_length(monkeypatch):
+    # the first input's second image is the input itself, one cell short
+    real_map = correspondences.thm2_map
+    victim = next(enumerate_tilings(7))
+
+    def broken_map(tiling):
+        first, second = real_map(tiling)
+        return (first, tiling) if tiling == victim else (first, second)
+
+    monkeypatch.setattr(correspondences, "thm2_map", broken_map)
+    report = thm2_verify(8)
+    assert report.duplicated == ("7:S1 S2 S3 S4 S5 S6 S7",)
+    assert report.missing == ("8:S1 S2 S3 S4 S5 S6 I8",)
+    assert report.by_length == {8: tetranacci(8) - 1, 3: tetranacci(3), 7: 1}
+    assert not report.ok
+
+
+def test_thm2_verify_checks_the_cap_before_walking(monkeypatch, capsys):
+    def unreachable(tiling):
+        raise AssertionError("no input may be mapped past the cap")
+
+    monkeypatch.setattr(correspondences, "thm2_map", unreachable)
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "16")
+    assert main(["bijection", "--name", "thm2", "--n", "17"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cap exceeded: strip length 17 exceeds the enumeration cap 16\n"
+    monkeypatch.delenv("HEXDOMINO_MAX_N")
+    with pytest.raises(CapExceeded, match="strip length 25 exceeds the enumeration cap 24"):
+        thm2_verify(25)
 
 
 def test_thm2_verify_extension_holds_at_n5():

@@ -28,6 +28,7 @@ from hexdomino import (
     to_tokens,
     validate,
 )
+from hexdomino.enumerator import CanonicalRank
 
 GOLDEN_N4 = [
     "S1 S2 S3 S4",
@@ -169,6 +170,15 @@ def test_walk_matches_reference_and_yields_canonical_tilings():
                 assert validate(tiling) == []
                 assert tiling == Tiling.of(tiling.length, tiling.tiles)
             assert walked == reference_walk(n, classes), (sorted(classes), n)
+
+
+def test_ranks_count_off_the_canonical_order():
+    for n in range(17):
+        ranking = CanonicalRank(n)
+        assert ranking.total == tetranacci(n)
+        assert [ranking.rank(t.tiles) for t in enumerate_tilings(n)] == list(range(ranking.total))
+    with pytest.raises(ValueError):
+        CanonicalRank(4).unrank(tetranacci(4))
 
 
 def test_deep_strips_fold_without_recursion(monkeypatch):

@@ -1,9 +1,12 @@
 """Properties of random valid tilings, drawn move by move from the frontier automaton."""
+from collections import Counter
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hexdomino import (
     ALL_CLASSES,
+    Tile,
     Tiling,
     UnbreakableError,
     classify_diagonal,
@@ -14,7 +17,7 @@ from hexdomino import (
     to_tokens,
     validate,
 )
-from hexdomino.enumerator import _moves, last_tile_group
+from hexdomino.enumerator import CanonicalRank, _moves, last_tile_group
 
 
 @st.composite
@@ -53,6 +56,64 @@ def test_breakable_iff_split_succeeds(tiling):
         else:
             assert is_breakable(tiling, d)
             assert validate(prefix) == [] and validate(suffix) == []
+
+
+@given(tilings())
+def test_unrank_inverts_rank(tiling):
+    ranking = CanonicalRank(tiling.length)
+    assert ranking.unrank(ranking.rank(tiling.tiles)) == tiling
+
+
+any_tile = st.builds(
+    lambda kind, offset: Tile({"S": 1, "I": 2, "H": 3}[kind] + offset, kind),
+    st.sampled_from("SIH"),
+    st.integers(0, 14),
+)
+
+
+@st.composite
+def tile_tuples(draw):
+    """A valid tiling as drawn or after one edit that may break it, or random tiles.
+
+    A split keeps the cells' mask sum, two S@(k-1) for S@k, and breaks only the
+    cell count; a swap keeps every cell covered once and breaks only the order.
+    """
+    edit = draw(st.sampled_from(("swap", "split", None, "repeat", "drop", "add", "length", "random")))
+    if edit == "random":
+        return Tiling(draw(st.integers(-2, 16)), tuple(draw(st.lists(any_tile, max_size=10))))
+    tiling = draw(tilings(max_length=14))
+    n, tiles = tiling.length, list(tiling.tiles)
+    i = draw(st.integers(0, max(len(tiles) - 1, 0)))
+    squares = [j for j, t in enumerate(tiles) if t.kind == "S" and t.location > 1]
+    if edit == "length":
+        n += draw(st.sampled_from((-2, -1, 1)))
+    elif edit == "add":
+        tiles.insert(i, draw(any_tile))
+    elif edit == "split" and squares:
+        j = draw(st.sampled_from(squares))
+        tiles[j : j + 1] = [Tile(tiles[j].location - 1, "S")] * 2
+    elif edit == "swap" and len(tiles) > 1:
+        j = min(i, len(tiles) - 2)
+        tiles[j], tiles[j + 1] = tiles[j + 1], tiles[j]
+    elif edit in ("drop", "repeat") and tiles:
+        tiles[i : i + 1] = [] if edit == "drop" else [tiles[i]] * 2
+    return Tiling(n, tuple(tiles))
+
+
+def covers_each_cell_once(tiling):
+    """Reference validity, cell by cell: locations rise, and every cell of the
+    strip, and no other, is covered by exactly one tile."""
+    locations = [t.location for t in tiling.tiles]
+    if tiling.length < 0 or any(a >= b for a, b in zip(locations, locations[1:])):
+        return False
+    below = {"S": (0,), "I": (0, 1), "H": (0, 2)}  # cells below the location
+    covers = Counter(t.location - d for t in tiling.tiles for d in below[t.kind])
+    return covers == Counter(range(1, tiling.length + 1))
+
+
+@given(tile_tuples())
+def test_validate_accepts_exactly_the_tilings_a_per_cell_check_accepts(tiling):
+    assert (validate(tiling) == []) == covers_each_cell_once(tiling)
 
 
 @given(tilings(min_length=4))
