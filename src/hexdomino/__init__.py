@@ -6,126 +6,87 @@ these tilings (Tetranacci numbers), enumerates and renders them, carries
 executable bijections onto single-strip square/domino tilings (Fibonacci
 numbers), and verifies a registry of closed-form identities both
 symbolically and against oracles derived from tile geometry.
-"""
-from .correspondences import (
-    SingleStripTiling,
-    SingleTile,
-    Thm2Report,
-    enumerate_single_strip,
-    lemma2_from_single,
-    lemma2_to_single,
-    lemma3_from_single,
-    lemma3_to_single,
-    thm2_map,
-    thm2_verify,
-)
-from .enumerator import (
-    BOTH_HORIZONTALS,
-    BREAKABLE,
-    CLASS_PRESETS,
-    HIGH_HORIZONTAL,
-    INCLINED_CROSS,
-    LOW_HORIZONTAL,
-    CapExceeded,
-    CrossingDescriptor,
-    classify_diagonal,
-    count_by_enumeration,
-    enumerate_tilings,
-    histogram_by_descriptor,
-    max_cells,
-    partition_by_first,
-)
-from .identities import (
-    ABSENT,
-    CORRECTED_VARIANT,
-    PAPER_STATED,
-    IdentityDescriptor,
-    IdentityRecord,
-    evaluate,
-    get_identity,
-    list_identities,
-    thm3_expected_histogram,
-    verify_range,
-)
-from .sequences import closed_count, fibonacci_comb, pow2, tetranacci
-from .strip_model import (
-    ALL_CLASSES,
-    DOMINO_CLASSES,
-    HORIZONTAL,
-    LEFT_INCLINED,
-    RIGHT_INCLINED,
-    SQUARE,
-    ParseError,
-    Tile,
-    Tiling,
-    UnbreakableError,
-    cells_of,
-    first_tile_of_class,
-    is_breakable,
-    parse_tokens,
-    render_ascii,
-    split_at,
-    tile_at,
-    to_tokens,
-    validate,
-)
 
-__all__ = [
-    "ABSENT",
-    "ALL_CLASSES",
-    "BOTH_HORIZONTALS",
-    "BREAKABLE",
-    "CLASS_PRESETS",
-    "CORRECTED_VARIANT",
-    "CapExceeded",
-    "CrossingDescriptor",
-    "DOMINO_CLASSES",
-    "HIGH_HORIZONTAL",
-    "HORIZONTAL",
-    "IdentityDescriptor",
-    "IdentityRecord",
-    "INCLINED_CROSS",
-    "LEFT_INCLINED",
-    "LOW_HORIZONTAL",
-    "PAPER_STATED",
-    "ParseError",
-    "RIGHT_INCLINED",
-    "SQUARE",
-    "SingleStripTiling",
-    "SingleTile",
-    "Thm2Report",
-    "Tile",
-    "Tiling",
-    "UnbreakableError",
-    "cells_of",
-    "classify_diagonal",
-    "closed_count",
-    "count_by_enumeration",
-    "enumerate_single_strip",
-    "enumerate_tilings",
-    "evaluate",
-    "fibonacci_comb",
-    "first_tile_of_class",
-    "get_identity",
-    "histogram_by_descriptor",
-    "is_breakable",
-    "lemma2_from_single",
-    "lemma2_to_single",
-    "lemma3_from_single",
-    "lemma3_to_single",
-    "list_identities",
-    "max_cells",
-    "parse_tokens",
-    "partition_by_first",
-    "pow2",
-    "render_ascii",
-    "split_at",
-    "tetranacci",
-    "thm2_map",
-    "thm2_verify",
-    "thm3_expected_histogram",
-    "tile_at",
-    "to_tokens",
-    "validate",
-    "verify_range",
-]
+Importing the package loads none of its modules.  Each public name is
+imported from its defining module on first access (PEP 562 module
+`__getattr__`), so a process loads only the layers it uses: `hexdomino count`
+runs on `sequences` alone.  `from hexdomino import X`, `import *` and
+`hexdomino.X` behave as if every module had been imported up front.
+"""
+from importlib import import_module
+
+# Public name -> the module that defines it, in `__all__` order.
+_ORIGIN = {
+    "ABSENT": "identities",
+    "ALL_CLASSES": "strip_model",
+    "BOTH_HORIZONTALS": "enumerator",
+    "BREAKABLE": "enumerator",
+    "CLASS_PRESETS": "enumerator",
+    "CORRECTED_VARIANT": "identities",
+    "CapExceeded": "enumerator",
+    "CrossingDescriptor": "enumerator",
+    "DOMINO_CLASSES": "strip_model",
+    "HIGH_HORIZONTAL": "enumerator",
+    "HORIZONTAL": "strip_model",
+    "IdentityDescriptor": "identities",
+    "IdentityRecord": "identities",
+    "INCLINED_CROSS": "enumerator",
+    "LEFT_INCLINED": "strip_model",
+    "LOW_HORIZONTAL": "enumerator",
+    "PAPER_STATED": "identities",
+    "ParseError": "strip_model",
+    "RIGHT_INCLINED": "strip_model",
+    "SQUARE": "strip_model",
+    "SingleStripTiling": "correspondences",
+    "SingleTile": "correspondences",
+    "Thm2Report": "correspondences",
+    "Tile": "strip_model",
+    "Tiling": "strip_model",
+    "UnbreakableError": "strip_model",
+    "cells_of": "strip_model",
+    "classify_diagonal": "enumerator",
+    "closed_count": "sequences",
+    "count_by_enumeration": "enumerator",
+    "enumerate_single_strip": "correspondences",
+    "enumerate_tilings": "enumerator",
+    "evaluate": "identities",
+    "fibonacci_comb": "sequences",
+    "first_tile_of_class": "strip_model",
+    "get_identity": "identities",
+    "histogram_by_descriptor": "enumerator",
+    "is_breakable": "strip_model",
+    "lemma2_from_single": "correspondences",
+    "lemma2_to_single": "correspondences",
+    "lemma3_from_single": "correspondences",
+    "lemma3_to_single": "correspondences",
+    "list_identities": "identities",
+    "max_cells": "enumerator",
+    "parse_tokens": "strip_model",
+    "partition_by_first": "enumerator",
+    "pow2": "sequences",
+    "render_ascii": "strip_model",
+    "split_at": "strip_model",
+    "tetranacci": "sequences",
+    "thm2_map": "correspondences",
+    "thm2_verify": "correspondences",
+    "thm3_expected_histogram": "identities",
+    "tile_at": "strip_model",
+    "to_tokens": "strip_model",
+    "validate": "strip_model",
+    "verify_range": "identities",
+}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

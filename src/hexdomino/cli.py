@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 on usage/parse/cap errors, 2 when a verification
 command ran but found a mismatch, 130 when interrupted.  Identical invocations
 print byte-identical output; machine output is JSONL with compact separators.
+
+Each handler imports the layers it runs, so a process loads only those:
+`count` and `sequences` need nothing beyond `sequences`.
 """
 from __future__ import annotations
 
@@ -13,18 +16,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from itertools import islice
 
-from .correspondences import (
-    enumerate_single_strip,
-    lemma2_from_single,
-    lemma2_to_single,
-    lemma3_from_single,
-    lemma3_to_single,
-    thm2_verify,
-)
-from .enumerator import CLASS_PRESETS, CapExceeded, enumerate_tilings, max_cells
-from .identities import get_identity, list_identities
-from .sequences import closed_count, fibonacci_comb, tetranacci
-from .strip_model import ParseError, parse_tokens, render_ascii, to_tokens
+from .sequences import PRESET_NAMES, closed_count, fibonacci_comb, tetranacci
 
 
 # Bulk output goes out in blocks of this many lines, one `write` per block.
@@ -65,6 +57,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumerator import CLASS_PRESETS, enumerate_tilings
+    from .strip_model import to_tokens
+
     lines = map(to_tokens, enumerate_tilings(args.n, CLASS_PRESETS[args.classes]))
     if args.format == "jsonl":
         lines = (_to_json({"n": args.n, "tokens": tokens}) for tokens in lines)
@@ -73,11 +68,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .strip_model import parse_tokens, render_ascii
+
     print(render_ascii(parse_tokens(args.tiling, args.n)))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # identities first: without a bytecode cache, compiling the largest module
+    # before the layers it imports keeps peak RSS about 0.4 MB lower.
+    from .identities import get_identity, list_identities
+    from .enumerator import max_cells
+
     cap = max_cells()  # a malformed cap setting fails every verify run, closed mode too
     if args.identity == "all":
         fitted = ((d, d.fit(args.start, args.stop, args.mode)) for d in list_identities())
@@ -105,6 +107,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _bijection_payload(name: str, n: int) -> dict:
+    from .correspondences import (
+        enumerate_single_strip,
+        lemma2_from_single,
+        lemma2_to_single,
+        lemma3_from_single,
+        lemma3_to_single,
+        thm2_verify,
+    )
+    from .enumerator import CLASS_PRESETS, enumerate_tilings
+
     if name == "thm2":
         report = thm2_verify(n)
         return {
@@ -172,12 +184,12 @@ def _build_parser() -> _Parser:
 
     count = sub.add_parser("count", help="count tilings of an n-cell strip")
     count.add_argument("--n", type=int, required=True)
-    count.add_argument("--classes", choices=sorted(CLASS_PRESETS), default="all")
+    count.add_argument("--classes", choices=PRESET_NAMES, default="all")
     count.set_defaults(handler=_cmd_count)
 
     enum = sub.add_parser("enumerate", help="list tilings, one per line")
     enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--classes", choices=sorted(CLASS_PRESETS), default="all")
+    enum.add_argument("--classes", choices=PRESET_NAMES, default="all")
     enum.add_argument("--format", choices=("tokens", "jsonl"), default="tokens")
     enum.set_defaults(handler=_cmd_enumerate)
 
@@ -235,11 +247,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:
+        # CapExceeded is a ValueError that only an enumerating command raises;
+        # the enumerator is imported here, on the error path, not at start-up.
+        from .enumerator import CapExceeded
+
+        label = "cap exceeded" if isinstance(exc, CapExceeded) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # e.g. a closed form at a size no memory can hold
         print("error: out of memory", file=sys.stderr)

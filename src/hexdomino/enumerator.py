@@ -8,9 +8,10 @@ already covered", and `_moves` lists the tiles that can cover c from it, in
 canonical order: Square@c, then Inclined@(c+1), then Horizontal@(c+2).
 
 `_transitions` compiles those moves once per (n, classes) into a table keyed
-by frontier state, and three consumers read it.  `enumerate_tilings` walks it
-depth first and materializes each tiling; it holds each horizontal placed at
-the frontier until the next move, so the path's tiles stay in location order.
+by frontier state, kept for the process, and three consumers share it.
+`enumerate_tilings` walks it depth first and materializes each tiling; it
+holds each horizontal placed at the frontier until the next move, so the
+path's tiles stay in location order.
 Counts, partitions and window tallies fold the table backward over the
 frontier states (the transfer-matrix method), each with its own per-path
 carry, so their cost grows with n rather than with the number of tilings, and
@@ -23,6 +24,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 
 from .strip_model import (
@@ -103,12 +105,15 @@ def _moves(
             yield Tile(c + 2, "H"), c + 1, True
 
 
+@lru_cache(maxsize=64)
 def _transitions(n: int, class_set: frozenset[str]) -> dict[tuple[int, bool], tuple]:
     """The compiled automaton: {(c, flag): tuple(_moves(c, flag, n, class_set))}.
 
     Every frontier state of the n-cell strip is a key, from c = n down to 1,
     so each state comes after the states its moves lead to.  Equal tiles are
     one object, so each tile's token is formatted at most once per table.
+    The table is cached per (n, class_set) and shared by every caller, which
+    must not mutate it.
     """
     shared: dict[Tile, Tile] = {}
     table: dict[tuple[int, bool], tuple] = {}

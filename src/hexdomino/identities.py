@@ -21,11 +21,10 @@ mismatch instead of silently patching it.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import lshift, mul
-from typing import Callable
 
-from .correspondences import thm2_verify
 from .enumerator import (
     CLASS_PRESETS,
     CapExceeded,
@@ -224,6 +223,8 @@ def _thm1_oracle(n: int) -> OracleOutcome:
 
 
 def _thm2_oracle(n: int) -> OracleOutcome:
+    from .correspondences import thm2_verify  # the only user; loaded on demand
+
     report = thm2_verify(n)
     groups = {
         str(n): report.by_length.get(n, 0),

@@ -12,6 +12,10 @@ one call per term.
 """
 from __future__ import annotations
 
+# The enumerator's CLASS_PRESETS names, in sorted order; `closed_count` takes
+# one, and the CLI offers them as --classes without importing the enumerator.
+PRESET_NAMES = ("all", "no-horizontal", "no-squares", "squares-right")
+
 _T: list[int] = [0, 1, 1, 2, 4]  # _T[i + 1] == T_i, starting at T_{-1} = 0
 _F: list[int] = [1, 1]           # _F[i] == f_i
 
@@ -95,6 +99,5 @@ def closed_count(preset: str, length: int) -> int:
     if preset == "squares-right":
         return pow2(length // 2)
     raise ValueError(
-        f"unknown class preset {preset!r}, expected one of "
-        "all, no-horizontal, no-squares, squares-right"
+        f"unknown class preset {preset!r}, expected one of {', '.join(PRESET_NAMES)}"
     )

@@ -28,7 +28,7 @@ from hexdomino import (
     to_tokens,
     validate,
 )
-from hexdomino.enumerator import CanonicalRank
+from hexdomino.enumerator import CanonicalRank, _transitions
 
 GOLDEN_N4 = [
     "S1 S2 S3 S4",
@@ -179,6 +179,16 @@ def test_ranks_count_off_the_canonical_order():
         assert [ranking.rank(t.tiles) for t in enumerate_tilings(n)] == list(range(ranking.total))
     with pytest.raises(ValueError):
         CanonicalRank(4).unrank(tetranacci(4))
+
+
+def test_walk_fold_and_rank_share_one_move_table():
+    _transitions.cache_clear()
+    list(enumerate_tilings(10))
+    count_by_enumeration(10)
+    CanonicalRank(10)
+    count_by_enumeration(10, CLASS_PRESETS["no-squares"])
+    info = _transitions.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_deep_strips_fold_without_recursion(monkeypatch):

@@ -1,0 +1,109 @@
+"""Start-up: the package and each CLI command load only the layers they run."""
+import argparse
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hexdomino
+from hexdomino import CLASS_PRESETS, cli
+from hexdomino.sequences import PRESET_NAMES
+
+# Runs one CLI command in a fresh interpreter, then lists on stderr's last
+# line the hexdomino modules it loaded.
+PROBE = """\
+import sys
+from hexdomino.cli import main
+main(sys.argv[1:])
+sys.stdout.flush()
+print(" ".join(sorted(m for m in sys.modules if m.startswith("hexdomino"))), file=sys.stderr)
+"""
+
+SEQUENCES_ONLY = {"hexdomino", "hexdomino.cli", "hexdomino.sequences"}
+
+
+def loaded_modules(*argv: str, code: str = PROBE) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    return set(result.stderr.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_no_module():
+    probe = 'import sys, hexdomino; print(*[m for m in sys.modules if "hexdomino" in m], file=sys.stderr)'
+    assert loaded_modules(code=probe) == {"hexdomino"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "5"),
+    ("count", "--n", "9", "--classes", "no-squares"),
+    ("sequences", "--name", "T", "--from", "0", "--to", "9"),
+])
+def test_closed_form_commands_load_only_sequences(argv):
+    assert loaded_modules(*argv) == SEQUENCES_ONLY
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "6"),
+    ("enumerate", "--n", "6", "--classes", "no-squares", "--format", "jsonl"),
+    ("render", "--n", "4", "--tiling", "S1 I3 S4"),
+])
+def test_enumerate_and_render_skip_verification_layers(argv):
+    loaded = loaded_modules(*argv)
+    assert "hexdomino.strip_model" in loaded
+    assert not loaded & {"hexdomino.identities", "hexdomino.correspondences"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "all", "--from", "0", "--to", "8", "--expect-mismatch"),
+    ("verify", "--identity", "thm4", "--mode", "oracle", "--from", "5", "--to", "7"),
+])
+def test_verify_without_thm2_skips_correspondences(argv):
+    loaded = loaded_modules(*argv)
+    assert "hexdomino.identities" in loaded
+    assert "hexdomino.correspondences" not in loaded
+
+
+def test_thm2_oracle_loads_correspondences():
+    argv = ("verify", "--identity", "thm2_num", "--mode", "oracle", "--from", "6", "--to", "6")
+    assert "hexdomino.correspondences" in loaded_modules(*argv)
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for name in hexdomino.__all__:
+        module = importlib.import_module(f"hexdomino.{hexdomino._ORIGIN[name]}")
+        value = getattr(hexdomino, name)
+        assert value is getattr(module, name), name
+        # a function or class is named by the module that defines it, not one
+        # that re-exports it
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from hexdomino import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hexdomino.__all__)
+    assert set(hexdomino.__all__) <= set(dir(hexdomino))
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no attribute 'tetranaci'"):
+        hexdomino.tetranaci
+    with pytest.raises(ImportError):
+        from hexdomino import tetranaci  # noqa: F401
+    from hexdomino import identities  # a submodule, not a public name
+    assert identities.get_identity is hexdomino.get_identity
+
+
+def test_classes_choices_are_the_class_presets():
+    assert list(PRESET_NAMES) == sorted(CLASS_PRESETS)
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("count", "enumerate"):
+        (classes,) = [a for a in commands.choices[command]._actions if a.dest == "classes"]
+        assert list(classes.choices) == sorted(CLASS_PRESETS)
