@@ -14,15 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 
-from .enumerator import CanonicalRank, _check_size, enumerate_tilings
+from .enumerator import CanonicalRank, _check_size, _tile, enumerate_tilings
 from .strip_model import Tile, Tiling, tile_at, to_tokens, validate
 
 _SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
-
-# One object per (location, kind), so each tile's mask and token are built once.
-_tile = cache(Tile)
 
 
 @dataclass(frozen=True, order=True)

@@ -1,19 +1,18 @@
 """Enumeration, counting and first-tile partitions of double-strip tilings.
 
-Every tiling is built by covering the lowest uncovered cell c.  At most one
-cell beyond the frontier can already be covered: placing Horizontal@(c+2)
-covers c and c+2 while leaving c+1 free, and no other move skips a cell.  The
-frontier state is therefore just (c, flag) where the flag says "cell c+1 is
-already covered", and `_moves` lists the tiles that can cover c from it, in
-canonical order: Square@c, then Inclined@(c+1), then Horizontal@(c+2).
+Every tiling is built by covering the lowest uncovered cell c with one of
+four blocks, the four ways Theorem 1 splits the tilings at one end.  In
+canonical order they are Square@c, Inclined@(c+1), a horizontal over a
+square (Square@(c+1), Horizontal@(c+2)) and two stacked horizontals
+(Horizontal@(c+2), Horizontal@(c+3)).  Each covers exactly the cells from c
+up to the next frontier cell, c+1 to c+4, so the frontier state is the cell
+c alone, and every path places its tiles in location order.
 
 `_transitions` compiles those moves once per (n, classes) into a table keyed
-by frontier state, kept for the process, and three consumers share it.
-`enumerate_tilings` walks it depth first and materializes each tiling; it
-holds each horizontal placed at the frontier until the next move, so the
-path's tiles stay in location order.
+by frontier cell, kept for the process, and three consumers share it.
+`enumerate_tilings` walks it depth first and materializes each tiling.
 Counts, partitions and window tallies fold the table backward over the
-frontier states (the transfer-matrix method), each with its own per-path
+frontier cells (the transfer-matrix method), each with its own per-path
 carry, so their cost grows with n rather than with the number of tilings, and
 they never consult the Tetranacci recurrence they are used to check.
 `CanonicalRank` folds the table the same way to rank and unrank tilings in
@@ -24,8 +23,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import attrgetter
+from functools import cache, lru_cache
 
 from .strip_model import (
     ALL_CLASSES,
@@ -38,8 +36,6 @@ from .strip_model import (
     tile_at,
 )
 
-_TOKEN = attrgetter("token")
-
 DEFAULT_MAX_CELLS = 24
 MAX_CELLS_ENV = "HEXDOMINO_MAX_N"
 
@@ -49,6 +45,9 @@ CLASS_PRESETS: dict[str, frozenset[str]] = {
     "no-squares": frozenset({RIGHT_INCLINED, LEFT_INCLINED, HORIZONTAL}),
     "squares-right": frozenset({SQUARE, RIGHT_INCLINED}),
 }
+
+# One object per (location, kind), so each tile's mask and token are built once.
+_tile = cache(Tile)
 
 
 class CapExceeded(ValueError):
@@ -84,46 +83,34 @@ def _class_set(classes) -> frozenset[str]:
     return class_set
 
 
-def _moves(
-    c: int, next_covered: bool, n: int, class_set: frozenset[str]
-) -> Iterator[tuple[Tile, int, bool]]:
-    """Yield (tile, next_c, next_flag) for each allowed tile covering cell c.
+def _moves(c: int, n: int, class_set: frozenset[str]) -> Iterator[tuple[tuple[Tile, ...], int]]:
+    """Yield (tiles, next_c) for each allowed block covering frontier cell c.
 
-    (next_c, next_flag) is the frontier state once the tile is placed.  This
+    The tiles ascend in location and cover exactly cells c..next_c-1.  This
     is the only place that decides which tiles fit the frontier; moves come
     out in canonical order.
     """
     if SQUARE in class_set:
-        yield Tile(c, "S"), c + 2 if next_covered else c + 1, False
-    if not next_covered and c + 1 <= n:
-        if (RIGHT_INCLINED if (c + 1) % 2 == 0 else LEFT_INCLINED) in class_set:
-            yield Tile(c + 1, "I"), c + 2, False
+        yield (_tile(c, "S"),), c + 1
+    if c + 1 <= n and (RIGHT_INCLINED if (c + 1) % 2 == 0 else LEFT_INCLINED) in class_set:
+        yield (_tile(c + 1, "I"),), c + 2
     if HORIZONTAL in class_set and c + 2 <= n:
-        if next_covered:
-            yield Tile(c + 2, "H"), c + 3, False
-        else:
-            yield Tile(c + 2, "H"), c + 1, True
+        if SQUARE in class_set:
+            yield (_tile(c + 1, "S"), _tile(c + 2, "H")), c + 3
+        if c + 3 <= n:
+            yield (_tile(c + 2, "H"), _tile(c + 3, "H")), c + 4
 
 
 @lru_cache(maxsize=64)
-def _transitions(n: int, class_set: frozenset[str]) -> dict[tuple[int, bool], tuple]:
-    """The compiled automaton: {(c, flag): tuple(_moves(c, flag, n, class_set))}.
+def _transitions(n: int, class_set: frozenset[str]) -> dict[int, tuple]:
+    """The compiled automaton: {c: tuple(_moves(c, n, class_set))}.
 
-    Every frontier state of the n-cell strip is a key, from c = n down to 1,
-    so each state comes after the states its moves lead to.  Equal tiles are
-    one object, so each tile's token is formatted at most once per table.
-    The table is cached per (n, class_set) and shared by every caller, which
-    must not mutate it.
+    Every frontier cell of the n-cell strip is a key, from c = n down to 1,
+    so each cell comes after the cells its moves lead to.  The table is
+    cached per (n, class_set) and shared by every caller, which must not
+    mutate it.
     """
-    shared: dict[Tile, Tile] = {}
-    table: dict[tuple[int, bool], tuple] = {}
-    for c in range(n, 0, -1):
-        for next_covered in (False, True) if c < n else (False,):
-            table[c, next_covered] = tuple(
-                (shared.setdefault(tile, tile), next_c, next_flag)
-                for tile, next_c, next_flag in _moves(c, next_covered, n, class_set)
-            )
-    return table
+    return {c: tuple(_moves(c, n, class_set)) for c in range(n, 0, -1)}
 
 
 def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
@@ -131,10 +118,8 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
 
     Canonical order; each tiling appears exactly once.  Restriction prunes at
     choice time rather than filtering a full enumeration afterwards.  The walk
-    reads the compiled `_transitions` table, so no tile is built per step.  It
-    holds each horizontal placed at the frontier until the next move, which
-    lands just below or just above it, so the path's tiles stay in location
-    order and each tiling is yielded without a sort.
+    reads the compiled `_transitions` table, so no tile is built per step,
+    and each path's tiles come in location order, so no tiling is sorted.
     """
     _check_size(n)
     class_set = _class_set(classes)
@@ -142,38 +127,27 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
     def walk() -> Iterator[Tiling]:
         # Depth first with an explicit stack, so the strip length is not bound
         # by the interpreter's recursion limit.  A frame holds the untried moves
-        # of one frontier state on the current path, the number of path tiles
-        # placed before it, and a held horizontal or None.
+        # of one frontier cell on the current path and the number of path tiles
+        # placed before it.
         if n == 0:
             yield Tiling(0, ())
             return
         table = _transitions(n, class_set)
         tiles: list[Tile] = []
-        stack = [(iter(table[1, False]), 0, None)]
+        stack = [(iter(table[1]), 0)]
         while stack:
-            moves, depth, held = stack[-1]
+            moves, depth = stack[-1]
             move = next(moves, None)
             if move is None:
                 stack.pop()
                 continue
-            tile, next_c, next_flag = move
+            placed, next_c = move
             del tiles[depth:]
-            if next_flag:
-                # H@(c+2) skips cell c+1.  The next move covers c+1 with S@(c+1),
-                # which lies below the horizontal, or with H@(c+3), which lies
-                # above it; hold the horizontal until then.
-                stack.append((iter(table[next_c, True]), depth, tile))
-                continue
-            if held is None:
-                tiles.append(tile)
-            elif tile.location < held.location:
-                tiles += (tile, held)
-            else:
-                tiles += (held, tile)
+            tiles += placed
             if next_c > n:
                 yield Tiling(n, tuple(tiles))
             else:
-                stack.append((iter(table[next_c, False]), len(tiles), None))
+                stack.append((iter(table[next_c]), len(tiles)))
 
     return walk()
 
@@ -181,19 +155,23 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
 def _fold(n: int, allowed: frozenset[str], start, carry) -> dict:
     """Count the tilings built from `allowed` tiles, grouped by a per-path key.
 
-    Folds backward over the `_transitions` table, c = n down to 1: each state maps
-    to {key of the rest of the tiling: ways to finish}, the empty rest keyed `start`;
-    `carry(tile, groups)` yields those pairs for `tile` placed before a rest with
-    `groups`.  Only c = n + 1 with nothing covered ends a tiling; c + 1 covered needs c < n.
+    Folds backward over the `_transitions` table, c = n down to 1: each cell
+    maps to {key of the rest of the tiling: ways to finish}, the empty rest
+    (c = n + 1) keyed `start`.  `carry(tile, groups)` returns that dict for
+    `tile` placed before a rest with `groups`; it is applied to a move's tiles
+    from the last one down, so it always sees the tiles above `tile`.
     """
-    done: dict[tuple[int, bool], dict] = {(n + 1, False): {start: 1}}
-    for state, moves in _transitions(n, allowed).items():
+    done: dict[int, dict] = {n + 1: {start: 1}}
+    for c, moves in _transitions(n, allowed).items():
         groups: dict = {}
-        for tile, next_c, next_flag in moves:
-            for key, count in carry(tile, done[next_c, next_flag]):
+        for tiles, next_c in moves:
+            rest = done[next_c]
+            for tile in reversed(tiles):
+                rest = carry(tile, rest)
+            for key, count in rest.items():
                 groups[key] = groups.get(key, 0) + count
-        done[state] = groups
-    return done[1, False]
+        done[c] = groups
+    return done[1]
 
 
 def count_by_enumeration(n: int, classes=ALL_CLASSES) -> int:
@@ -203,7 +181,7 @@ def count_by_enumeration(n: int, classes=ALL_CLASSES) -> int:
     Tetranacci recurrence, so it stays an independent oracle for it.
     """
     _check_size(n)
-    return sum(_fold(n, _class_set(classes), None, lambda tile, groups: groups.items()).values())
+    return sum(_fold(n, _class_set(classes), None, lambda tile, groups: groups).values())
 
 
 def partition_by_first(n: int, classes) -> dict[int | None, int]:
@@ -211,20 +189,16 @@ def partition_by_first(n: int, classes) -> dict[int | None, int]:
 
     Keys are the minimal location of a tile whose class lies in `classes`, or
     None when no such tile occurs.  Counts sum to the unrestricted total.
-    Placement order can disagree with location order (a horizontal placed at
-    the frontier lands above a later square), so the fold keeps a running
-    minimum instead of taking the first placement.
+    The fold puts each tile before a rest that holds only tiles above it, so
+    a tracked tile becomes the first one of every rest it joins.
     """
     _check_size(n)
     tracked = _class_set(classes)
 
-    def carry(tile: Tile, groups: dict):
+    def carry(tile: Tile, groups: dict) -> dict:
         if tile.tile_class not in tracked:
-            return groups.items()
-        # Every key past k, and None, becomes k: one pair, summed at C speed.
-        k = tile.location
-        below = [(key, count) for key, count in groups.items() if key is not None and key < k]
-        return [(k, sum(groups.values()) - sum(count for _, count in below)), *below]
+            return groups
+        return {tile.location: sum(groups.values())}
 
     return _fold(n, ALL_CLASSES, None, carry)
 
@@ -237,14 +211,14 @@ def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
     """
     _check_size(n)
 
-    def carry(tile: Tile, groups: dict):
+    def carry(tile: Tile, groups: dict) -> dict:
         if not lo <= tile.location <= hi:
-            return groups.items()
-        return [((tile, *window), count) for window, count in groups.items()]
+            return groups
+        return {(tile, *window): count for window, count in groups.items()}
 
     tally: dict = {}
     for window, count in _fold(n, ALL_CLASSES, (), carry).items():
-        key = classify(Tiling.of(n, window))
+        key = classify(Tiling(n, window))
         tally[key] = tally.get(key, 0) + count
     return tally
 
@@ -252,58 +226,56 @@ def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
 class CanonicalRank:
     """Rank and unrank the tilings of the n-cell strip in `enumerate_tilings(n)` order.
 
-    The walk tries each frontier state's moves in order, so a tiling's rank is
+    The walk tries each frontier cell's moves in order, so a tiling's rank is
     the sum, over its moves, of the ways to finish after each move tried before
     it (ranking by counting: Nijenhuis & Wilf, Combinatorial Algorithms, 1978).
     One backward fold over the `_transitions` table counts the ways to finish
-    from every state, as `_fold` does, never from the Tetranacci recurrence,
-    and sums them once per tile into a weight table: a square is tried first
-    and adds 0; I@k adds the ways from (k, False); H@k adds those plus, unless
-    it sits on H@(k-1), the ways from (k-1, False).  H@k on H@(k-1) is placed
-    from a state whose next cell is covered, the only tile whose weight that changes.
+    from every cell, as `_fold` does, never from the Tetranacci recurrence,
+    and sums them once per move into a weight table per cell, keyed by the
+    move's first token.  A move's tiles ascend and end just below its next
+    cell, so `rank` reads the next cell off each tile's location; a move's
+    second tile is looked up at the cell after its first, where no move
+    starts with it, and adds 0.
     Neither the cap nor `validate` is consulted: `rank` reads valid tilings only.
     """
 
     def __init__(self, n: int) -> None:
         self.length = n
         self._table = _transitions(n, ALL_CLASSES)
-        self._ways = {(n + 1, False): 1}
-        # Token -> weight of a tile placed from a state whose next cell is free,
-        # then from one whose next cell is covered.
-        self._weights: tuple[dict[str, int], dict[str, int]] = ({}, {})
-        for state, moves in self._table.items():
-            tried = 0
-            for tile, next_c, next_flag in moves:
-                self._weights[state[1]][tile.token] = tried
-                tried += self._ways[next_c, next_flag]
-            self._ways[state] = tried
-        self.total = self._ways[1, False]
-        self._stacked_on = {f"H{k}": f"H{k - 1}" for k in range(4, n + 1)}
+        self._ways = {n + 1: 1}
+        self._weights: dict[int, dict[str, int]] = {}
+        for c, moves in self._table.items():
+            weights, tried = {}, 0
+            for tiles, next_c in moves:
+                weights[tiles[0].token] = tried
+                tried += self._ways[next_c]
+            self._weights[c], self._ways[c] = weights, tried
+        self.total = self._ways[1]
 
     def rank(self, tiles: tuple[Tile, ...]) -> int:
         """Index in `enumerate_tilings(n)` of the valid tiling with these tiles."""
-        free, covered = self._weights
-        stacked_on = self._stacked_on
-        index, below = 0, ""
-        for token in map(_TOKEN, tiles):
-            index += (covered if stacked_on.get(token) == below else free)[token]
-            below = token
+        weights = self._weights
+        index, c = 0, 1
+        for tile in tiles:
+            index += weights[c].get(tile.token, 0)
+            c = tile.location + 1
         return index
 
     def unrank(self, index: int) -> Tiling:
         """The tiling at `index` of `enumerate_tilings(n)`, the inverse of `rank`."""
         if not 0 <= index < self.total:
             raise ValueError(f"rank must be in 0..{self.total - 1}, got {index}")
-        tiles, state = [], (1, False)
-        while state[0] <= self.length:
-            for tile, next_c, next_flag in self._table[state]:
-                ways = self._ways[next_c, next_flag]
+        tiles: list[Tile] = []
+        c = 1
+        while c <= self.length:
+            for move, next_c in self._table[c]:
+                ways = self._ways[next_c]
                 if index < ways:
                     break
                 index -= ways
-            tiles.append(tile)
-            state = next_c, next_flag
-        return Tiling.of(self.length, tiles)
+            tiles += move
+            c = next_c
+        return Tiling(self.length, tuple(tiles))
 
 
 BREAKABLE = "breakable"

@@ -143,9 +143,15 @@ def _violations(tiling: Tiling) -> list[str]:
                 violations.append(f"cell {cell} covered by both {covered[cell]} and {tile}")
             else:
                 covered[cell] = tile
-    for cell in range(1, tiling.length + 1):
-        if cell not in covered:
-            violations.append(f"cell {cell} uncovered")
+    # One message per run of uncovered cells, found between the covered ones,
+    # so the cost grows with the tiles rather than with the length.
+    free = 1  # the lowest cell not yet reported
+    for cell in [*sorted(covered), tiling.length + 1]:
+        if cell - 1 > free:
+            violations.append(f"cells {free}..{cell - 1} uncovered")
+        elif cell - 1 == free:
+            violations.append(f"cell {free} uncovered")
+        free = cell + 1
     return violations
 
 

@@ -108,6 +108,14 @@ def test_render_rejects_bad_tiling(capsys):
     assert "uncovered" in err
 
 
+def test_render_reports_each_run_of_uncovered_cells_once(capsys):
+    # one line for a billion uncovered cells, not one per cell
+    code, out, err = run(capsys, "render", "--n", "1000000000", "--tiling", "")
+    assert (code, out, err) == (1, "", "error: cells 1..1000000000 uncovered\n")
+    code, out, err = run(capsys, "render", "--n", "6", "--tiling", "S2 S4")
+    assert (code, err) == (1, "error: cell 1 uncovered; cell 3 uncovered; cells 5..6 uncovered\n")
+
+
 def test_verify_closed_ok(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "thm2_num", "--from", "6", "--to", "12")
     assert code == 0

@@ -181,6 +181,19 @@ def test_ranks_count_off_the_canonical_order():
         CanonicalRank(4).unrank(tetranacci(4))
 
 
+def test_each_move_covers_the_frontier_up_to_its_next_cell_in_location_order():
+    for classes in CLASS_PRESETS.values():
+        for n in range(17):
+            table = _transitions(n, classes)
+            assert list(table) == list(range(n, 0, -1))
+            for c, moves in table.items():
+                for tiles, next_c in moves:
+                    locations = [tile.location for tile in tiles]
+                    assert locations == sorted(set(locations)), (n, c, tiles)
+                    cells = [cell for tile in tiles for cell in tile.cells]
+                    assert sorted(cells) == list(range(c, next_c)), (n, c, tiles)
+
+
 def test_walk_fold_and_rank_share_one_move_table():
     _transitions.cache_clear()
     list(enumerate_tilings(10))

@@ -22,13 +22,15 @@ from hexdomino.enumerator import CanonicalRank, _moves, last_tile_group
 
 @st.composite
 def tilings(draw, min_length=0, max_length=40):
-    """A valid tiling: from each frontier state, one of the moves `_moves` allows."""
+    """A valid tiling: from each frontier cell, one of the moves `_moves` allows.
+
+    Built unsorted, so `validate` checks that the moves place tiles in order."""
     n = draw(st.integers(min_length, max_length))
-    tiles, c, next_covered = [], 1, False
+    tiles, c = [], 1
     while c <= n:
-        tile, c, next_covered = draw(st.sampled_from(list(_moves(c, next_covered, n, ALL_CLASSES))))
-        tiles.append(tile)
-    return Tiling.of(n, tiles)
+        move, c = draw(st.sampled_from(list(_moves(c, n, ALL_CLASSES))))
+        tiles += move
+    return Tiling(n, tuple(tiles))
 
 
 @given(tilings())
@@ -39,7 +41,7 @@ def test_tokens_round_trip(tiling):
 
 @given(tilings())
 def test_tokens_spell_each_tile(tiling):
-    # drawn tilings and thm2_map's images hold tiles built outside the walk's table
+    # tokens are cached on interned tiles, shared by the moves, the walk and thm2_map
     images = thm2_map(tiling) if tiling.length >= 4 else ()
     for t in (tiling, *images):
         assert to_tokens(t) == " ".join(f"{x.kind}{x.location}" for x in t.tiles)
