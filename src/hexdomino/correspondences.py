@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
-from .enumerator import CanonicalRank, _check_size, _tile, enumerate_tilings
-from .strip_model import Tile, Tiling, tile_at, to_tokens, validate
+from .enumerator import CanonicalRank, _check_size, _tile, _walk, enumerate_tilings
+from .strip_model import Tile, Tiling, to_tokens, validate
 
 _SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
 
@@ -47,30 +48,16 @@ class SingleStripTiling:
 
 
 def enumerate_single_strip(length: int) -> Iterator[SingleStripTiling]:
-    """All square/domino tilings of a single strip, canonical order, count f_length."""
+    """All square/domino tilings of a single strip, count f_length, canonical
+    order: from the lowest uncovered cell c, `_walk` tries a square at c before
+    a domino over c and c+1, so the tilings sort with S before D."""
     _check_size(length)
-
-    def walk() -> Iterator[SingleStripTiling]:
-        # Iterative, so the length is not bound by the recursion limit: fill
-        # the rest with squares, yield, then drop tiles from the end up to the
-        # last square that has a cell after it and turn it into a domino.
-        tiles: list[SingleTile] = []
-        c = 1  # lowest uncovered cell
-        while True:
-            while c <= length:
-                tiles.append(SingleTile(c, "S"))
-                c += 1
-            yield SingleStripTiling.of(length, tiles)
-            while tiles:
-                tile = tiles.pop()
-                if tile.kind == "S" and tile.location < length:
-                    tiles.append(SingleTile(tile.location + 1, "D"))
-                    c = tile.location + 2
-                    break
-            else:
-                return
-
-    return walk()
+    table = {}
+    for c in range(1, length + 1):
+        table[c] = [((SingleTile(c, "S"),), c + 1)]
+        if c < length:
+            table[c].append(((SingleTile(c + 1, "D"),), c + 2))
+    return _walk(table, length, SingleStripTiling)
 
 
 def thm2_map(tiling: Tiling) -> tuple[Tiling, Tiling]:
@@ -104,7 +91,7 @@ def thm2_map(tiling: Tiling) -> tuple[Tiling, Tiling]:
     elif last.kind == "I":
         second = Tiling(n, tiles[:-1] + (_tile(m, "S"), _tile(n, "H")))
     else:
-        neighbor = tile_at(tiling, m - 1)  # located at m - 1, so it is tiles[-2]
+        neighbor = tiles[-2]  # the tile covering cell m - 1, located there
         if neighbor.kind == "H":
             second = Tiling(n - 5, tiles[:-2])
         elif neighbor.kind == "S":
@@ -146,8 +133,8 @@ def thm2_verify(n: int) -> Thm2Report:
     length n - 5, so the target tilings are never listed: `thm2_map` validates
     every image, and ranking is one-to-one from the valid tilings of a length
     onto range(count).  A target reached no time is missing, one reached twice
-    or more is duplicated; only those are unranked, to name them.  An image of
-    any other length is reported as duplicated.
+    or more is duplicated; only then are the targets walked, in rank order, to
+    name them.  An image of any other length is reported as duplicated.
     """
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
@@ -172,13 +159,13 @@ def thm2_verify(n: int) -> Thm2Report:
             if seen[index] < 2:
                 seen[index] += 1
 
-    def keys(count: int) -> Iterator[str]:
-        # The targets seen `count` times, found at C speed and unranked one by one.
-        index = seen.find(count)
-        while index >= 0:
-            length = n if index < offsets[n - 5] else n - 5
-            yield _key(ranks[length].unrank(index - offsets[length]))
-            index = seen.find(count, index + 1)
+    def keys(count: int) -> list[str]:
+        # The targets seen `count` times, named by walking them in rank order
+        # only if there is one, so a cover that holds lists no target.
+        if count not in seen:
+            return []
+        targets = chain(enumerate_tilings(n), enumerate_tilings(n - 5))
+        return [_key(target) for target, times in zip(targets, seen) if times == count]
 
     return Thm2Report(
         n=n,

@@ -10,13 +10,13 @@ c alone, and every path places its tiles in location order.
 
 `_transitions` compiles those moves once per (n, classes) into a table keyed
 by frontier cell, kept for the process, and three consumers share it.
-`enumerate_tilings` walks it depth first and materializes each tiling.
-Counts, partitions and window tallies fold the table backward over the
-frontier cells (the transfer-matrix method), each with its own per-path
-carry, so their cost grows with n rather than with the number of tilings, and
-they never consult the Tetranacci recurrence they are used to check.
-`CanonicalRank` folds the table the same way to rank and unrank tilings in
-the walk's order.
+`enumerate_tilings` walks it depth first with `_walk`, which lists the paths
+of any such table, and materializes each tiling.  Counts, partitions and
+window tallies fold the table backward over the frontier cells (the
+transfer-matrix method), each with its own per-path carry, so their cost
+grows with n rather than with the number of tilings, and they never consult
+the Tetranacci recurrence they are used to check.  `CanonicalRank` folds the
+table the same way to rank tilings in the walk's order.
 """
 from __future__ import annotations
 
@@ -122,34 +122,36 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
     and each path's tiles come in location order, so no tiling is sorted.
     """
     _check_size(n)
-    class_set = _class_set(classes)
+    return _walk(_transitions(n, _class_set(classes)), n, Tiling)
 
-    def walk() -> Iterator[Tiling]:
-        # Depth first with an explicit stack, so the strip length is not bound
-        # by the interpreter's recursion limit.  A frame holds the untried moves
-        # of one frontier cell on the current path and the number of path tiles
-        # placed before it.
-        if n == 0:
-            yield Tiling(0, ())
-            return
-        table = _transitions(n, class_set)
-        tiles: list[Tile] = []
-        stack = [(iter(table[1]), 0)]
-        while stack:
-            moves, depth = stack[-1]
-            move = next(moves, None)
-            if move is None:
-                stack.pop()
-                continue
-            placed, next_c = move
-            del tiles[depth:]
-            tiles += placed
-            if next_c > n:
-                yield Tiling(n, tuple(tiles))
-            else:
-                stack.append((iter(table[next_c]), len(tiles)))
 
-    return walk()
+def _walk(table: dict, n: int, make) -> Iterator:
+    """Yield make(n, tiles) for every path through a move table, depth first.
+
+    `table` maps each frontier cell 1..n to its (tiles, next_c) moves, tried
+    in order; a path ends at a move past cell n and `tiles` holds its moves'
+    tiles in path order.  The stack is explicit, so n is not bound by the
+    recursion limit.  A frame holds the untried moves of one frontier cell on
+    the current path and the number of path tiles placed before it.
+    """
+    if n == 0:
+        yield make(0, ())
+        return
+    tiles: list = []
+    stack = [(iter(table[1]), 0)]
+    while stack:
+        moves, depth = stack[-1]
+        move = next(moves, None)
+        if move is None:
+            stack.pop()
+            continue
+        placed, next_c = move
+        del tiles[depth:]
+        tiles += placed
+        if next_c > n:
+            yield make(n, tuple(tiles))
+        else:
+            stack.append((iter(table[next_c]), len(tiles)))
 
 
 def _fold(n: int, allowed: frozenset[str], start, carry) -> dict:
@@ -224,7 +226,7 @@ def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
 
 
 class CanonicalRank:
-    """Rank and unrank the tilings of the n-cell strip in `enumerate_tilings(n)` order.
+    """Rank the tilings of the n-cell strip in `enumerate_tilings(n)` order.
 
     The walk tries each frontier cell's moves in order, so a tiling's rank is
     the sum, over its moves, of the ways to finish after each move tried before
@@ -237,20 +239,19 @@ class CanonicalRank:
     second tile is looked up at the cell after its first, where no move
     starts with it, and adds 0.
     Neither the cap nor `validate` is consulted: `rank` reads valid tilings only.
+    The walk yields tilings in rank order, so it names the tiling at a rank.
     """
 
     def __init__(self, n: int) -> None:
-        self.length = n
-        self._table = _transitions(n, ALL_CLASSES)
-        self._ways = {n + 1: 1}
+        ways = {n + 1: 1}
         self._weights: dict[int, dict[str, int]] = {}
-        for c, moves in self._table.items():
+        for c, moves in _transitions(n, ALL_CLASSES).items():
             weights, tried = {}, 0
             for tiles, next_c in moves:
                 weights[tiles[0].token] = tried
-                tried += self._ways[next_c]
-            self._weights[c], self._ways[c] = weights, tried
-        self.total = self._ways[1]
+                tried += ways[next_c]
+            self._weights[c], ways[c] = weights, tried
+        self.total = ways[1]
 
     def rank(self, tiles: tuple[Tile, ...]) -> int:
         """Index in `enumerate_tilings(n)` of the valid tiling with these tiles."""
@@ -260,22 +261,6 @@ class CanonicalRank:
             index += weights[c].get(tile.token, 0)
             c = tile.location + 1
         return index
-
-    def unrank(self, index: int) -> Tiling:
-        """The tiling at `index` of `enumerate_tilings(n)`, the inverse of `rank`."""
-        if not 0 <= index < self.total:
-            raise ValueError(f"rank must be in 0..{self.total - 1}, got {index}")
-        tiles: list[Tile] = []
-        c = 1
-        while c <= self.length:
-            for move, next_c in self._table[c]:
-                ways = self._ways[next_c]
-                if index < ways:
-                    break
-                index -= ways
-            tiles += move
-            c = next_c
-        return Tiling(self.length, tuple(tiles))
 
 
 BREAKABLE = "breakable"

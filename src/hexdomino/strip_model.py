@@ -108,11 +108,13 @@ def validate(tiling: Tiling) -> list[str]:
     mask of cells 1..n, and ascend.  The first two rule out a shared cell, since
     adding two masks with a common bit carries and each carry leaves the sum
     fewer set bits than the masks hold; masks without a shared cell ascend
-    exactly when their tiles' locations, their highest cells, do.
+    exactly when their tiles' locations, their highest cells, do.  No mask is
+    built unless the last tile lies in the strip, so a tile far past it costs
+    no memory.
     """
-    n = tiling.length
-    if n >= 0:
-        masks = list(map(_MASK, tiling.tiles))
+    n, tiles = tiling.length, tiling.tiles
+    if n >= 0 and (not tiles or tiles[-1].location <= n):
+        masks = list(map(_MASK, tiles))
         if (
             sum(map(int.bit_count, masks)) == n
             and sum(masks) == (1 << n + 1) - 2

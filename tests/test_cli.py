@@ -108,6 +108,31 @@ def test_render_rejects_bad_tiling(capsys):
     assert "uncovered" in err
 
 
+# A bare interpreter spawns the CLI and prints its exit code and peak RSS in
+# kB: a child of the test process would start from the test process's memory.
+LAUNCH = """import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_render_rejects_a_tile_past_the_strip_before_building_its_mask():
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    for token in ("S3000000000", "S99999999999999999999"):
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", LAUNCH, "-m", "hexdomino", "render", "--n", "5",
+             "--tiling", token],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, peak_kb = map(int, result.stdout.split())
+        assert code == 1
+        assert result.stderr.splitlines() == [
+            f"error: tile {token} covers cell {token[1:]} beyond length 5; cells 1..5 uncovered"
+        ]
+        assert peak_kb < 100 * 1024, token
+
+
 def test_render_reports_each_run_of_uncovered_cells_once(capsys):
     # one line for a billion uncovered cells, not one per cell
     code, out, err = run(capsys, "render", "--n", "1000000000", "--tiling", "")

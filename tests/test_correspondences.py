@@ -1,4 +1,5 @@
 """Executable correspondences: the 1-to-2 map and both stretch bijections."""
+import itertools
 import sys
 from collections import Counter
 
@@ -7,6 +8,8 @@ import pytest
 from hexdomino import (
     CLASS_PRESETS,
     CapExceeded,
+    SingleStripTiling,
+    SingleTile,
     Tile,
     Tiling,
     correspondences,
@@ -45,6 +48,23 @@ def test_single_strip_golden_order_n3():
         "S1 D3",
         "D2 S3",
     ]
+
+
+def test_single_strip_lists_the_sequences_of_ones_and_twos_in_order():
+    # reference: the sequences of parts 1 and 2 summing to n, sorted, so
+    # lexicographic with 1 before 2; a part ends at the running sum
+    for n in range(15):
+        parts = sorted(
+            p for k in range(n + 1) for p in itertools.product((1, 2), repeat=k) if sum(p) == n
+        )
+        expected = [
+            SingleStripTiling(n, tuple(
+                SingleTile(end, "S" if part == 1 else "D")
+                for part, end in zip(p, itertools.accumulate(p))
+            ))
+            for p in parts
+        ]
+        assert list(enumerate_single_strip(n)) == expected, n
 
 
 def test_single_strip_cap():

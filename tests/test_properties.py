@@ -21,16 +21,23 @@ from hexdomino.enumerator import CanonicalRank, _moves, last_tile_group
 
 
 @st.composite
-def tilings(draw, min_length=0, max_length=40):
-    """A valid tiling: from each frontier cell, one of the moves `_moves` allows.
+def walked(draw, n):
+    """A valid n-cell tiling: from each frontier cell, one of the moves `_moves`
+    allows, and the index in `_moves` of each move taken.
 
     Built unsorted, so `validate` checks that the moves place tiles in order."""
-    n = draw(st.integers(min_length, max_length))
-    tiles, c = [], 1
+    tiles, indices, c = [], [], 1
     while c <= n:
-        move, c = draw(st.sampled_from(list(_moves(c, n, ALL_CLASSES))))
+        moves = list(_moves(c, n, ALL_CLASSES))
+        indices.append(draw(st.integers(0, len(moves) - 1)))
+        move, c = moves[indices[-1]]
         tiles += move
-    return Tiling(n, tuple(tiles))
+    return Tiling(n, tuple(tiles)), indices
+
+
+@st.composite
+def tilings(draw, min_length=0, max_length=40):
+    return draw(walked(draw(st.integers(min_length, max_length))))[0]
 
 
 @given(tilings())
@@ -60,10 +67,17 @@ def test_breakable_iff_split_succeeds(tiling):
             assert validate(prefix) == [] and validate(suffix) == []
 
 
-@given(tilings())
-def test_unrank_inverts_rank(tiling):
-    ranking = CanonicalRank(tiling.length)
-    assert ranking.unrank(ranking.rank(tiling.tiles)) == tiling
+@given(st.data())
+def test_rank_orders_tilings_as_the_walk_does(data):
+    # the walk tries moves in `_moves` order, so it meets tilings in the
+    # lexicographic order of their move indices
+    n = data.draw(st.integers(0, 40))
+    (a, a_moves), (b, b_moves) = data.draw(walked(n)), data.draw(walked(n))
+    ranking = CanonicalRank(n)
+    rank_a, rank_b = ranking.rank(a.tiles), ranking.rank(b.tiles)
+    assert rank_a in range(ranking.total) and rank_b in range(ranking.total)
+    assert (rank_a < rank_b) == (a_moves < b_moves)
+    assert (rank_a == rank_b) == (a == b)
 
 
 any_tile = st.builds(
