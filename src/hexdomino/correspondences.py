@@ -15,8 +15,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
-from .enumerator import CanonicalRank, _check_size, _tile, _walk, enumerate_tilings
+from .enumerator import (
+    CanonicalRank, _check_size, _tile, _walk, count_by_enumeration, enumerate_tilings,
+    tally_by_window,
+)
 from .strip_model import Tile, Tiling, to_tokens, validate
 
 _SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
@@ -103,6 +107,40 @@ def thm2_map(tiling: Tiling) -> tuple[Tiling, Tiling]:
             )
     assert not validate(first) and not validate(second)
     return first, second
+
+
+def thm2_window_cover(n: int) -> tuple[dict[int, int], int, int]:
+    """`thm2_verify`'s cover check, by last-tile window instead of by tiling.
+
+    `thm2_map` rewrites only an input's tiles at locations n-2..n-1, its
+    window, and keeps the rest, which fills the cells the window leaves free.
+    So each window is mapped once, padded with squares, and its image windows
+    (tiles at n-2..n; none at length n-5) stand for the images of all its
+    inputs.  A target window met by one image window is covered once if the
+    counts agree; met by none, its tilings are missing, met by more, they are
+    duplicated, as are images off every target.  Returns the image counts by
+    length and the numbers of missing and duplicated tilings.
+    """
+    m, by_length, hits = n - 1, {}, {}
+    for window, count in tally_by_window(m, m - 1, m, attrgetter("tiles")).items():
+        covered = set().union(*(tile.cells for tile in window))
+        free = tuple(_tile(c, "S") for c in range(1, m + 1) if c not in covered)
+        for image in thm2_map(Tiling(m, free + window)):  # free cells lie below the window
+            by_length[image.length] = by_length.get(image.length, 0) + count
+            key = image.length, tuple(t for t in image.tiles if t.location >= m - 1)
+            hits.setdefault(key, []).append(count)
+    targets = {(n, w): c for w, c in tally_by_window(n, m - 1, n, attrgetter("tiles")).items()}
+    targets[n - 5, ()] = count_by_enumeration(n - 5)
+    missing = duplicated = 0
+    for key, want in targets.items():
+        got = hits.pop(key, [0])
+        if len(got) > 1:
+            duplicated += want
+        elif got[0] < want:
+            missing += want - got[0]
+        else:
+            duplicated += got[0] - want
+    return by_length, missing, duplicated + sum(map(sum, hits.values()))
 
 
 def _key(tiling: Tiling) -> str:

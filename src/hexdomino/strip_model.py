@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, lt
 
 SQUARE = "square"
 RIGHT_INCLINED = "right-inclined"
@@ -97,29 +97,25 @@ class Tiling:
         return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
 
 
-_MASK = attrgetter("mask")
+_LOCATION, _MASK = attrgetter("location"), attrgetter("mask")
 
 
 def validate(tiling: Tiling) -> list[str]:
     """Return the list of invariant violations; empty means the tiling is valid.
 
     Each violation names the offending cell or tile.  A valid tiling is accepted
-    at C speed from its tiles' cell masks: they hold n cells in all, sum to the
-    mask of cells 1..n, and ascend.  The first two rule out a shared cell, since
-    adding two masks with a common bit carries and each carry leaves the sum
-    fewer set bits than the masks hold; masks without a shared cell ascend
-    exactly when their tiles' locations, their highest cells, do.  No mask is
-    built unless the last tile lies in the strip, so a tile far past it costs
-    no memory.
+    at C speed: its locations strictly ascend, and its tiles' cell masks hold n
+    cells in all and sum to the mask of cells 1..n, which rules out a shared
+    cell, since adding two masks with a common bit carries and each carry
+    leaves the sum fewer set bits than the masks hold.  No mask is built
+    unless the locations ascend to a last one in the strip, so a tile far past
+    it costs no memory.
     """
     n, tiles = tiling.length, tiling.tiles
-    if n >= 0 and (not tiles or tiles[-1].location <= n):
+    locations = list(map(_LOCATION, tiles))
+    if n >= 0 and all(map(lt, locations, locations[1:])) and (not tiles or locations[-1] <= n):
         masks = list(map(_MASK, tiles))
-        if (
-            sum(map(int.bit_count, masks)) == n
-            and sum(masks) == (1 << n + 1) - 2
-            and masks == sorted(masks)
-        ):
+        if sum(map(int.bit_count, masks)) == n and sum(masks) == (1 << n + 1) - 2:
             return []
     return _violations(tiling)
 

@@ -289,6 +289,9 @@ STDOUT_SHA256 = {
     ("verify", "--identity", "all", "--mode", "oracle", "--from", "0", "--to", "10",
      "--expect-mismatch"):
         "48fe26c63ef2f1c81e5d2c27d0d177a062b0792784f7b77fd2e23d80f7ef6cad",
+    ("verify", "--identity", "all", "--mode", "oracle", "--from", "0", "--to", "24",
+     "--expect-mismatch"):
+        "fdd5c4be24225d644d46c68fd1e66df0d829204013c105c59548937359c2c42b",
     ("enumerate", "--n", "8", "--format", "jsonl"):
         "bf37b4c07d6530cb84850bb2194a19763df6e7f0470622536c60aeaca85a5800",
     ("enumerate", "--n", "14", "--classes", "all"):
@@ -498,14 +501,15 @@ def test_interrupt_is_a_one_line_error():
     # Ctrl-C during a slow oracle run; wait for the first record so the
     # interpreter is inside the verification loop when the signal lands.
     env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]),
-               PYTHONUNBUFFERED="1")
+               PYTHONUNBUFFERED="1", HEXDOMINO_MAX_N="2000")
     proc = subprocess.Popen(
         [sys.executable, "-m", "hexdomino", "verify", "--identity", "thm2_num",
-         "--mode", "oracle", "--from", "6", "--to", "24"],
+         "--mode", "oracle", "--from", "6", "--to", "2000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     first = proc.stdout.readline()
     time.sleep(1)
+    assert proc.poll() is None  # still verifying
     proc.send_signal(signal.SIGINT)
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 130

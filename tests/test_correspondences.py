@@ -15,7 +15,9 @@ from hexdomino import (
     correspondences,
     enumerate_single_strip,
     enumerate_tilings,
+    enumerator,
     fibonacci_comb,
+    get_identity,
     lemma2_from_single,
     lemma2_to_single,
     lemma3_from_single,
@@ -26,6 +28,7 @@ from hexdomino import (
     thm2_map,
     thm2_verify,
     to_tokens,
+    verify_range,
 )
 from hexdomino.cli import main
 
@@ -244,6 +247,73 @@ def test_thm2_verify_extension_holds_at_n5():
     report = thm2_verify(5)
     assert report.ok
     assert report.outputs == 16
+
+
+def exhaustive_thm2_outcome(n):
+    """thm2_num's oracle groups and total, read off the exhaustive `thm2_verify`."""
+    report = thm2_verify(n)
+    groups = {str(k): report.by_length.get(k, 0) for k in (n, n - 5)}
+    groups.update(missing=len(report.missing), duplicated=len(report.duplicated))
+    return groups, report.outputs
+
+
+def window_thm2_outcome(n):
+    outcome = get_identity("thm2_num").oracle(n)
+    return outcome.groups, outcome.total
+
+
+def test_thm2_window_oracle_equals_the_exhaustive_cover():
+    for n in range(6, 17):
+        assert window_thm2_outcome(n) == exhaustive_thm2_outcome(n), n
+
+
+def test_thm2_window_oracle_maps_one_tiling_per_window(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the window oracle lists no tiling")
+
+    real_map, mapped = correspondences.thm2_map, []
+
+    def counting_map(tiling):
+        mapped.append(tiling)
+        return real_map(tiling)
+
+    monkeypatch.setattr(correspondences, "thm2_map", counting_map)
+    monkeypatch.setattr(correspondences, "thm2_verify", unreachable)
+    monkeypatch.setattr(correspondences, "enumerate_tilings", unreachable)
+    monkeypatch.setattr(enumerator, "_walk", unreachable)
+    for n in (6, 24):
+        mapped.clear()
+        assert verify_range("thm2_num", n, n, mode="oracle").ok
+        assert len(mapped) == 6  # one padded tiling per last-tile window
+
+
+def thm2_case(tiling):
+    """The case `thm2_map` splits on: the last tile's kind, and for a last
+    horizontal also the kind of the tile located below it."""
+    last = tiling.tiles[-1]
+    return last.kind + (tiling.tiles[-2].kind if last.kind == "H" else "")
+
+
+@pytest.mark.parametrize("case, second_image", [
+    ("I", lambda tiling, first: first),  # lands on the first image's window
+    ("HH", lambda tiling, first: first),  # the short case dropped
+    ("S", lambda tiling, first: tiling),  # an image of length n - 1
+])
+def test_thm2_window_oracle_reports_a_broken_map_as_the_exhaustive_cover_does(
+    monkeypatch, case, second_image
+):
+    real_map = correspondences.thm2_map
+
+    def broken_map(tiling):
+        first, second = real_map(tiling)
+        return first, second_image(tiling, first) if thm2_case(tiling) == case else second
+
+    monkeypatch.setattr(correspondences, "thm2_map", broken_map)
+    for n in (8, 11):
+        groups, total = window_thm2_outcome(n)
+        assert (groups, total) == exhaustive_thm2_outcome(n), n
+        assert groups["missing"] and groups["duplicated"]
+        assert not verify_range("thm2_num", n, n, mode="oracle").records[0].checks_ok
 
 
 def test_lemma2_examples():

@@ -56,7 +56,7 @@ LOWER_BOUNDS = {
 # oracle-enumerable spans under the default 24-cell cap
 ORACLE_SPANS = {
     "thm1": (4, 24),
-    "thm2_num": (6, 9),
+    "thm2_num": (6, 24),
     "thm3": (4, 12),
     "thm4": (5, 9),
     "lemma1": (0, 9),
@@ -260,6 +260,14 @@ def test_thm1_groups_past_the_cap(monkeypatch):
     outcome = descriptor.oracle(1000)
     assert outcome.groups == descriptor.partition_expected(1000)
     assert outcome.total == tet(1000)
+
+
+def test_thm2_groups_past_the_cap(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "1000")
+    descriptor = get_identity("thm2_num")
+    outcome = descriptor.oracle(500)
+    assert outcome.groups == descriptor.partition_expected(500)
+    assert outcome.total == 2 * tet(499)
 
 
 def test_thm2_synthetic_groups():

@@ -152,3 +152,17 @@ def test_per_tiling_rules_read_only_their_window(tiling):
     if n % 2 == 0:
         d = n // 2
         assert classify_diagonal(window(tiling, d, d + 3)) == classify_diagonal(tiling)
+
+
+@given(tilings(min_length=4))
+def test_thm2_map_reads_and_rewrites_only_the_last_two_locations(tiling):
+    # both images are the input's tiles below location m - 1, unchanged, plus
+    # the image of its last-two-location window padded with squares, there
+    m = tiling.length
+    top = window(tiling, m - 1, m).tiles
+    covered = {cell for t in top for cell in t.cells}
+    padded = Tiling.of(m, [*top, *(Tile(c, "S") for c in range(1, m + 1) if c not in covered)])
+    rest = tuple(t for t in tiling.tiles if t.location < m - 1)
+    for image, padded_image in zip(thm2_map(tiling), thm2_map(padded)):
+        mapped = tuple(t for t in padded_image.tiles if t.location >= m - 1)
+        assert image == Tiling(padded_image.length, rest + mapped)

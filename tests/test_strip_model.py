@@ -95,6 +95,17 @@ def test_validate_reports_overhang():
     assert any("beyond" in v or "length" in v for v in validate(broken))
 
 
+def test_validate_builds_no_mask_for_tiles_out_of_order():
+    # the last tile lies in the strip, but a tile before it lies far past it
+    far = Tile(3000000, "S")
+    assert validate(Tiling(5, (far, Tile(1, "S")))) == [
+        "tiles are not in ascending location order",
+        "tile S3000000 covers cell 3000000 beyond length 5",
+        "cells 2..5 uncovered",
+    ]
+    assert "mask" not in far.__dict__
+
+
 def test_to_tokens_examples():
     assert to_tokens(tiling_of(4, "S1", "S2", "S3", "S4")) == "S1 S2 S3 S4"
     assert to_tokens(tiling_of(4, "H3", "H4")) == "H3 H4"
