@@ -21,8 +21,9 @@ mismatch instead of silently patching it.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cache
 from operator import lshift, mul
 
 from .enumerator import (
@@ -36,6 +37,7 @@ from .enumerator import (
     tally_by_window,
 )
 from .sequences import (
+    _terms,
     closed_count,
     fibonacci_comb as fib,
     fibonacci_terms as fib_terms,
@@ -303,15 +305,29 @@ def _thm7_expected(n: int) -> dict[str, int]:
     return groups
 
 
+_G: list[int] = []  # _G[j - 2] == g(j), append-only like the sequence memos
+
+
+def _grow_weights(j: int) -> None:
+    """Extend _G through g(j) = f(floor(j/2)-1) f(ceil(j/2)-1), the tilings of the
+    cells before a first inclined tile at location j >= 2."""
+    while j >= len(_G) + 2:
+        _G.append(fib(len(_G) // 2) * fib((len(_G) + 1) // 2))
+
+
+def _weight_terms(start: int, stop: int, step: int = 1) -> list[int]:
+    """[g(j) for j in range(start, stop, step)], sliced from the weight memo."""
+    return _terms(_G, -2, _grow_weights, range(start, stop, step))
+
+
+def _by_first_inclined(length: int) -> Iterator[int]:
+    """g(j) T(length-j) for j = 2..length: the tilings whose first inclined tile is at j."""
+    return map(mul, _weight_terms(2, length + 1), tet_terms(length - 2, -1, -1))
+
+
 def _first_inclined_expected(length: int, absent: int) -> dict[str, int]:
     groups: dict[str, int] = {ABSENT: absent}
-    for location in range(2, length + 1):
-        if location % 2 == 0:
-            k = location // 2
-            groups[str(location)] = fib(k - 1) ** 2 * tet(length - location)
-        elif location >= 3:
-            k = (location + 1) // 2
-            groups[str(location)] = fib(k - 2) * fib(k - 1) * tet(length - location)
+    groups.update(zip(map(str, range(2, length + 1)), _by_first_inclined(length)))
     return groups
 
 
@@ -319,33 +335,13 @@ def _first_inclined_expected(length: int, absent: int) -> dict[str, int]:
 
 # Each sum runs over memo slices: term i of a sum pairs the i-th entry of
 # each slice, so a T index that falls by 2 as i rises is a slice with step -2.
+# The thm8 family sums by first-inclined location j, whose f factors are g(j).
 
-def _thm5_rhs(n: int, corrected: bool) -> int:
-    first = 2 * tet(2 * n - 3) if corrected else 2 * tet(n - 3)
-    return (
-        first
-        # sum_{i=1..n-1} 2^i T(2n-2i-2)
-        + sum(map(lshift, tet_terms(2 * n - 4, -2, -2), range(1, n)))
-        # 5 sum_{i=0..n-3} 2^i T(2n-2i-5)
-        + 5 * sum(map(lshift, tet_terms(2 * n - 5, -1, -2), range(0, n - 2)))
-    )
-
-
-def _thm8_rhs(n: int) -> int:
-    # sum_{i=1..n} f(i-1)^2 T(2n-2i) + sum_{i=2..n} f(i-2) f(i-1) T(2n-2i+1)
-    fib_low = fib_terms(0, n)
-    squares = sum(map(mul, map(mul, fib_low, fib_low), tet_terms(2 * n - 2, -2, -2)))
-    mixed = sum(map(mul, map(mul, fib_low, fib_terms(1, n)), tet_terms(2 * n - 3, -1, -2)))
-    return squares + mixed
-
-
-def _thm8c_rhs(n: int, corrected: bool) -> int:
-    # sum_{i=1..n} f(i-1)^2 T(2n-2i+1) + sum_{i=1..n} f(i-1) f(i) T(2n-2i),
-    # printed with T(2n-2i+2) in the second sum
-    fib_low = fib_terms(0, n)
-    squares = sum(map(mul, map(mul, fib_low, fib_low), tet_terms(2 * n - 1, -1, -2)))
-    mixed_tet = tet_terms(2 * n - 2, -2, -2) if corrected else tet_terms(2 * n, 0, -2)
-    return squares + sum(map(mul, map(mul, fib_low, fib_terms(1, n + 1)), mixed_tet))
+@cache
+def _thm5_tail(n: int) -> int:
+    """sum_{i=1..n-1} 2^i T(2n-2i-2) + 5 sum_{i=0..n-3} 2^i T(2n-2i-5), both thm5 forms."""
+    return sum(map(lshift, tet_terms(2 * n - 4, -2, -2), range(1, n))) + 5 * sum(
+        map(lshift, tet_terms(2 * n - 5, -1, -2), range(0, n - 2)))
 
 
 _HORIZONTAL_OR_LEFT = frozenset({HORIZONTAL, LEFT_INCLINED})
@@ -413,7 +409,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=3, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - pow2(n),
-            rhs=lambda n: _thm5_rhs(n, corrected=False),
+            rhs=lambda n: 2 * tet(n - 3) + _thm5_tail(n),
             oracle=_partition_oracle(even, _HORIZONTAL_OR_LEFT),
         ),
         IdentityDescriptor(
@@ -422,7 +418,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=3, provenance=CORRECTED_VARIANT,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - pow2(n),
-            rhs=lambda n: _thm5_rhs(n, corrected=True),
+            rhs=lambda n: 2 * tet(2 * n - 3) + _thm5_tail(n),
             oracle=_partition_oracle(even, _HORIZONTAL_OR_LEFT),
             partition_expected=_thm5_expected,
         ),
@@ -470,7 +466,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=3, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - fib(n) ** 2,
-            rhs=_thm8_rhs,
+            rhs=lambda n: sum(_by_first_inclined(2 * n)),
             oracle=_partition_oracle(even, _INCLINED),
             partition_expected=lambda n: _first_inclined_expected(2 * n, fib(n) ** 2),
         ),
@@ -480,7 +476,10 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=2, provenance=PAPER_STATED,
             strip_length=odd,
             lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
-            rhs=lambda n: _thm8c_rhs(n, corrected=False),
+            # even j against T(2n+1-j), odd j against T(2n+3-j)
+            rhs=lambda n: sum(map(
+                mul, _weight_terms(2, 2 * n + 1, 2) + _weight_terms(3, 2 * n + 2, 2),
+                tet_terms(2 * n - 1, -1, -2) + tet_terms(2 * n, 0, -2))),
             oracle=_partition_oracle(odd, _INCLINED),
         ),
         IdentityDescriptor(
@@ -489,7 +488,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=2, provenance=CORRECTED_VARIANT,
             strip_length=odd,
             lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
-            rhs=lambda n: _thm8c_rhs(n, corrected=True),
+            rhs=lambda n: sum(_by_first_inclined(2 * n + 1)),
             oracle=_partition_oracle(odd, _INCLINED),
             partition_expected=lambda n: _first_inclined_expected(2 * n + 1, fib(n) * fib(n + 1)),
         ),

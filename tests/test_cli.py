@@ -286,6 +286,9 @@ def test_verify_prints_each_record_before_computing_the_next(monkeypatch):
 STDOUT_SHA256 = {
     ("verify", "--identity", "all", "--from", "0", "--to", "60", "--expect-mismatch"):
         "f9d112d9a642da3ddea27ef4e2f20c0efe1b5f4d34ceb5ad001e69409001f82c",
+    # closed sums near n = 1000, with their memos grown from n = 990 up
+    ("verify", "--identity", "all", "--from", "990", "--to", "1000", "--expect-mismatch"):
+        "d30c3ca5b5dcf4cdf8530d47afa1cc2bbd52d140a420252e3ace1763ac970501",
     ("verify", "--identity", "all", "--mode", "oracle", "--from", "0", "--to", "10",
      "--expect-mismatch"):
         "48fe26c63ef2f1c81e5d2c27d0d177a062b0792784f7b77fd2e23d80f7ef6cad",

@@ -17,7 +17,9 @@ from hexdomino import (
     thm3_expected_histogram,
     verify_range,
 )
+from hexdomino import identities
 from hexdomino.enumerator import last_tile_group
+from hexdomino.identities import ABSENT
 
 REGISTRY_ORDER = [
     "thm1",
@@ -203,6 +205,35 @@ def test_evaluate_matches_term_by_term_sums_to_300():
             assert evaluate(identity_id, n) == expected, (identity_id, n)
             if identity_id in PRINTED_MISMATCHES:
                 assert expected[0] != expected[1], (identity_id, n)
+
+
+def test_partition_terms_add_up_to_the_closed_form_past_the_cap():
+    # No enumeration: each expected partition, the first-inclined weights
+    # included, sums to the left side far above the oracle's cap.
+    for descriptor in list_identities():
+        if descriptor.partition_expected is None:
+            continue
+        for n in range(descriptor.n_lo, 401):
+            groups = descriptor.partition_expected(n)
+            located = sum(groups.values()) - groups.get(ABSENT, 0)
+            assert located == descriptor.lhs(n), (descriptor.id, n)
+            if descriptor.id not in PRINTED_MISMATCHES:
+                assert located == descriptor.rhs(n), (descriptor.id, n)
+
+
+def test_first_inclined_weight_memo_is_append_only(monkeypatch):
+    monkeypatch.setattr(identities, "_G", [])  # a fresh memo, restored afterwards
+    early = identities._weight_terms(2, 41)
+    assert early == [fib(j // 2 - 1) * fib((j + 1) // 2 - 1) for j in range(2, 41)]
+    thm8_family = ("thm8", "thm8c_printed", "thm8c_corrected")
+    # the largest n first, so the small ones read a prefix of a grown memo
+    for n in (250, *range(2, 41)):
+        for identity_id in thm8_family:
+            if n >= LOWER_BOUNDS[identity_id]:
+                reference = TERM_BY_TERM[identity_id][1](n)
+                assert get_identity(identity_id).rhs(n) == reference, (identity_id, n)
+    assert len(identities._G) == 500  # g(2..501), for thm8c at n = 250
+    assert identities._weight_terms(2, 41) == early
 
 
 def test_oracle_mode_all_identities():
