@@ -12,8 +12,8 @@ Three maps, each with a verification harness:
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
@@ -26,28 +26,31 @@ from .strip_model import Tile, Tiling, to_tokens, validate
 _SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
 
 
-@dataclass(frozen=True, order=True)
-class SingleTile:
-    location: int
-    kind: str  # "S" square covers {location}; "D" domino covers {location-1, location}
+class SingleTile(namedtuple("SingleTile", "location kind")):
+    """A single-strip tile, checked on construction like `Tile`: "S" covers
+    {location}, "D" covers {location-1, location}."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in _SINGLE_MIN_LOCATION:
-            raise ValueError(f"unknown single-strip tile kind {self.kind!r}")
-        if self.location < _SINGLE_MIN_LOCATION[self.kind]:
+    __slots__ = ()
+
+    def __new__(cls, location: int, kind: str) -> SingleTile:
+        if kind not in _SINGLE_MIN_LOCATION:
+            raise ValueError(f"unknown single-strip tile kind {kind!r}")
+        if location < _SINGLE_MIN_LOCATION[kind]:
             raise ValueError(
-                f"{self.kind} tile location must be >= {_SINGLE_MIN_LOCATION[self.kind]}, "
-                f"got {self.location}"
+                f"{kind} tile location must be >= {_SINGLE_MIN_LOCATION[kind]}, got {location}"
             )
-
-
-@dataclass(frozen=True)
-class SingleStripTiling:
-    length: int
-    tiles: tuple[SingleTile, ...]
+        return tuple.__new__(cls, (location, kind))
 
     @classmethod
-    def of(cls, length: int, tiles) -> "SingleStripTiling":
+    def _make(cls, iterable) -> SingleTile:
+        return cls(*iterable)
+
+
+class SingleStripTiling(namedtuple("SingleStripTiling", "length tiles")):
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, length: int, tiles) -> SingleStripTiling:
         return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
 
 
@@ -147,15 +150,13 @@ def _key(tiling: Tiling) -> str:
     return f"{tiling.length}:{to_tokens(tiling)}"
 
 
-@dataclass(frozen=True)
-class Thm2Report:
-    n: int
-    inputs: int
-    outputs: int
-    expected_total: int
-    by_length: dict[int, int]
-    missing: tuple[str, ...]
-    duplicated: tuple[str, ...]
+class Thm2Report(namedtuple(
+    "Thm2Report", "n inputs outputs expected_total by_length missing duplicated"
+)):
+    """`thm2_verify`'s counts; `by_length` maps image lengths to image counts,
+    `missing` and `duplicated` name target tilings as "length:tokens"."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

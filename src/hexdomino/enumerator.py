@@ -21,8 +21,8 @@ table the same way to rank tilings in the walk's order.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .strip_model import (
@@ -46,7 +46,7 @@ CLASS_PRESETS: dict[str, frozenset[str]] = {
     "squares-right": frozenset({SQUARE, RIGHT_INCLINED}),
 }
 
-# One object per (location, kind), so each tile's mask and token are built once.
+# One object per (location, kind), so each tile's cells and token are built once.
 _tile = cache(Tile)
 
 
@@ -270,17 +270,16 @@ LOW_HORIZONTAL = "low-horizontal"
 HIGH_HORIZONTAL = "high-horizontal"
 
 
-@dataclass(frozen=True)
-class CrossingDescriptor:
+class CrossingDescriptor(namedtuple("CrossingDescriptor", "kind sub", defaults=(None,))):
     """How the middle diagonal of an even-length tiling is crossed.
 
     kind is one of breakable / inclined / both-horizontals / low-horizontal /
     high-horizontal.  For a lone crossing horizontal, `sub` records the kind
     (square or horizontal) of the tile at cell d (low) or d+1 (high), the
-    sub-conditioning of the diagonal-decomposition argument.
+    sub-conditioning of the diagonal-decomposition argument; else it is None.
     """
-    kind: str
-    sub: str | None = None
+
+    __slots__ = ()
 
     @property
     def key(self) -> str:

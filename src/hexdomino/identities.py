@@ -21,8 +21,8 @@ mismatch instead of silently patching it.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import cache
 from operator import lshift, mul
 
@@ -59,28 +59,27 @@ CORRECTED_VARIANT = "corrected-variant"
 ABSENT = "absent"  # group key for tilings containing no tile of the conditioned class
 
 
-@dataclass(frozen=True)
-class OracleOutcome:
+class OracleOutcome(namedtuple("OracleOutcome", "total groups", defaults=(None,))):
     """Result of recomputing an identity's left side from tile geometry.
 
     `total` is the recomputed left-side count.  `groups` maps conditioning
     keys to observed counts (None when the identity has no partition).
     """
-    total: int
-    groups: dict[str, int] | None = None
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
-    id: str
-    statement: str
-    n_lo: int  # stated for every n >= n_lo
-    provenance: str  # PAPER_STATED or CORRECTED_VARIANT
-    strip_length: Callable[[int], int]
-    lhs: Callable[[int], int]
-    rhs: Callable[[int], int]
-    oracle: Callable[[int], OracleOutcome]
-    partition_expected: Callable[[int], dict[str, int]] | None = None
+class IdentityDescriptor(namedtuple(
+    "IdentityDescriptor",
+    "id statement n_lo provenance strip_length lhs rhs oracle partition_expected",
+    defaults=(None,),
+)):
+    """One registered identity, stated for every n >= n_lo; `provenance` is
+    PAPER_STATED or CORRECTED_VARIANT.  `strip_length`, `lhs` and `rhs` map n
+    to ints, `oracle` to an OracleOutcome, and `partition_expected`, if set,
+    to the closed-form term of each conditioning group."""
+
+    __slots__ = ()
 
     def fit(self, lo: int, hi: int, mode: str) -> range:
         """The n in [lo, hi] inside the stated range and, in oracle mode, the cap.
@@ -129,26 +128,18 @@ class IdentityDescriptor:
         return IdentityRecord(self.id, n, lhs, rhs, mode, oracle_total=outcome.total, groups=groups)
 
 
-@dataclass(frozen=True)
-class GroupCheck:
-    key: str
-    expected: int
-    observed: int
+class GroupCheck(namedtuple("GroupCheck", "key expected observed")):
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
         return self.expected == self.observed
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    id: str
-    n: int
-    lhs: int
-    rhs: int
-    mode: str
-    oracle_total: int | None = None
-    groups: tuple[GroupCheck, ...] | None = None
+class IdentityRecord(namedtuple(
+    "IdentityRecord", "id n lhs rhs mode oracle_total groups", defaults=(None, None)
+)):
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:
@@ -191,11 +182,8 @@ class IdentityRecord:
         return record
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    id: str
-    mode: str
-    records: tuple[IdentityRecord, ...]
+class VerificationReport(namedtuple("VerificationReport", "id mode records")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,7 @@ covers cells on both sides.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import attrgetter, lt
 
@@ -36,19 +36,26 @@ class UnbreakableError(ValueError):
     """Raised by split_at when a tile crosses the requested diagonal."""
 
 
-@dataclass(frozen=True, order=True)
-class Tile:
-    location: int
-    kind: str  # "S", "I", or "H"
+class Tile(namedtuple("Tile", "location kind")):
+    """One tile: its location and its kind, "S", "I" or "H".
 
-    def __post_init__(self) -> None:
-        if self.kind not in _MIN_LOCATION:
-            raise ValueError(f"unknown tile kind {self.kind!r}")
-        if self.location < _MIN_LOCATION[self.kind]:
+    A named tuple, checked on construction; `_make` and `_replace` construct
+    through `__new__` too.  It has an instance `__dict__`, unlike the other
+    value types, because `token` and `cells` are cached in it.
+    """
+
+    def __new__(cls, location: int, kind: str) -> Tile:
+        if kind not in _MIN_LOCATION:
+            raise ValueError(f"unknown tile kind {kind!r}")
+        if location < _MIN_LOCATION[kind]:
             raise ValueError(
-                f"{self.kind} tile location must be >= {_MIN_LOCATION[self.kind]}, "
-                f"got {self.location}"
+                f"{kind} tile location must be >= {_MIN_LOCATION[kind]}, got {location}"
             )
+        return tuple.__new__(cls, (location, kind))
+
+    @classmethod
+    def _make(cls, iterable) -> Tile:
+        return cls(*iterable)
 
     @property
     def tile_class(self) -> str:
@@ -66,19 +73,18 @@ class Tile:
     @cached_property
     def cells(self) -> frozenset[int]:
         """The set of cells the tile covers, built on first use and then kept."""
-        if self.kind == "S":
-            return frozenset({self.location})
-        if self.kind == "I":
-            return frozenset({self.location - 1, self.location})
-        return frozenset({self.location - 2, self.location})
-
-    @cached_property
-    def mask(self) -> int:
-        """The covered cells as a bitmask, bit c for cell c, built on first use and then kept."""
-        return sum(1 << cell for cell in self.cells)
+        return _cells(*self)
 
     def __str__(self) -> str:
         return self.token
+
+
+def _cells(location: int, kind: str) -> frozenset[int]:
+    if kind == "S":
+        return frozenset({location})
+    if kind == "I":
+        return frozenset({location - 1, location})
+    return frozenset({location - 2, location})
 
 
 def cells_of(tile: Tile) -> frozenset[int]:
@@ -86,36 +92,36 @@ def cells_of(tile: Tile) -> frozenset[int]:
     return tile.cells
 
 
-@dataclass(frozen=True)
-class Tiling:
-    length: int
-    tiles: tuple[Tile, ...]
+class Tiling(namedtuple("Tiling", "length tiles")):
+    """A strip length and its tiles, a named tuple; valid ones list the tiles
+    in ascending location (see `validate`)."""
+
+    __slots__ = ()
 
     @classmethod
-    def of(cls, length: int, tiles) -> "Tiling":
+    def of(cls, length: int, tiles) -> Tiling:
         """Canonical constructor: sorts tiles by ascending location."""
         return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
 
 
-_LOCATION, _MASK = attrgetter("location"), attrgetter("mask")
+_LOCATION, _CELLS = attrgetter("location"), attrgetter("cells")
 
 
 def validate(tiling: Tiling) -> list[str]:
     """Return the list of invariant violations; empty means the tiling is valid.
 
-    Each violation names the offending cell or tile.  A valid tiling is accepted
-    at C speed: its locations strictly ascend, and its tiles' cell masks hold n
-    cells in all and sum to the mask of cells 1..n, which rules out a shared
-    cell, since adding two masks with a common bit carries and each carry
-    leaves the sum fewer set bits than the masks hold.  No mask is built
-    unless the locations ascend to a last one in the strip, so a tile far past
-    it costs no memory.
+    Each violation names the offending cell or tile.  A valid tiling is
+    accepted at C speed from its tiles' cached cell sets: its locations
+    strictly ascend to a last one in the strip, so every covered cell lies in
+    1..n, and the sets' sizes sum to n while their union holds n cells, so no
+    two share a cell and together they cover 1..n.  Anything else is walked
+    per cell by `_violations`, which caches nothing on the tiles.
     """
     n, tiles = tiling.length, tiling.tiles
     locations = list(map(_LOCATION, tiles))
     if n >= 0 and all(map(lt, locations, locations[1:])) and (not tiles or locations[-1] <= n):
-        masks = list(map(_MASK, tiles))
-        if sum(map(int.bit_count, masks)) == n and sum(masks) == (1 << n + 1) - 2:
+        sets = list(map(_CELLS, tiles))
+        if sum(map(len, sets)) == n and len(frozenset().union(*sets)) == n:
             return []
     return _violations(tiling)
 
@@ -134,7 +140,7 @@ def _violations(tiling: Tiling) -> list[str]:
         if tile.location in seen_locations:
             violations.append(f"duplicate location {tile.location}")
         seen_locations.add(tile.location)
-        for cell in tile.cells:
+        for cell in _cells(*tile):
             if cell > tiling.length:
                 violations.append(f"tile {tile} covers cell {cell} beyond length {tiling.length}")
             elif cell in covered:

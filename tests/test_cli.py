@@ -1,5 +1,4 @@
 """Command-line behavior: outputs, exit codes, determinism, the cap."""
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -133,6 +132,22 @@ def test_render_rejects_a_tile_past_the_strip_before_building_its_mask():
         assert peak_kb < 100 * 1024, token
 
 
+def test_render_of_many_tiles_keeps_no_bitmask_per_tile():
+    # 20,000 squares: a bitmask per tile would hold 200 million bits, 25 MB
+    n = 20000
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCH, "-m", "hexdomino", "render", "--n", str(n),
+         "--tiling", " ".join(f"S{k}" for k in range(1, n + 1))],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    upper, lower, status = result.stdout.splitlines()
+    code, peak_kb = map(int, status.split())
+    assert (code, result.stderr) == (0, "")
+    assert upper.split()[-1] == f"[S{n}]" and lower.split()[-1] == f"[S{n - 1}]"
+    assert peak_kb < 40 * 1024
+
+
 def test_render_reports_each_run_of_uncovered_cells_once(capsys):
     # one line for a billion uncovered cells, not one per cell
     code, out, err = run(capsys, "render", "--n", "1000000000", "--tiling", "")
@@ -255,7 +270,7 @@ def test_verify_prints_each_record_before_computing_the_next(monkeypatch):
         def lhs(n):
             events.append("compute")
             return descriptor.lhs(n)
-        return dataclasses.replace(descriptor, lhs=lhs)
+        return descriptor._replace(lhs=lhs)
 
     registry = tuple(logged(d) for d in identities.list_identities())
     monkeypatch.setattr(identities, "_REGISTRY", registry)

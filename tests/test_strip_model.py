@@ -1,6 +1,4 @@
 """Geometry core: tiles, tilings, validation, tokens, splitting, rendering."""
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,7 +58,7 @@ def test_tile_str():
 
 def test_tile_api_is_its_two_fields():
     # the cached token is not a field: equality, hash, order and repr ignore it
-    assert tuple(f.name for f in dataclasses.fields(Tile)) == ("location", "kind")
+    assert Tile._fields == ("location", "kind")
     tile = Tile(4, "H")
     assert tile.token == "H4"
     assert repr(tile) == "Tile(location=4, kind='H')"
@@ -71,8 +69,10 @@ def test_tile_api_is_its_two_fields():
         Tile(3, "I"), Tile(4, "I"), Tile(4, "S")
     ]
     assert Tile(3, "H") < Tile(4, "H") and Tile(4, "H") < Tile(4, "S")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         tile.location = 5
+    with pytest.raises(AttributeError):
+        tile.kind = "S"
 
 
 def test_validate_accepts_known_tilings():
@@ -95,15 +95,28 @@ def test_validate_reports_overhang():
     assert any("beyond" in v or "length" in v for v in validate(broken))
 
 
+@pytest.mark.parametrize("n, tokens, violations", [
+    # each passes every check of validate's fast path but one
+    (3, "S1 I2 S3", ["cell 1 covered by both S1 and I2"]),  # set sizes sum to 4
+    (4, "I2 I3", ["cell 2 covered by both I2 and I3", "cell 4 uncovered"]),  # union holds 3
+    (2, "S1 S3", ["tile S3 covers cell 3 beyond length 2", "cell 2 uncovered"]),  # last > n
+    (2, "S2 S1", ["tiles are not in ascending location order"]),  # locations descend
+])
+def test_validate_rejects_what_only_one_check_catches(n, tokens, violations):
+    tiles = tuple(Tile(int(token[1:]), token[0]) for token in tokens.split())
+    assert validate(Tiling(n, tiles)) == violations
+
+
 def test_validate_builds_no_mask_for_tiles_out_of_order():
-    # the last tile lies in the strip, but a tile before it lies far past it
+    # the last tile lies in the strip, but a tile before it lies far past it:
+    # the tiling is walked per cell, and the walk caches no cell set on a tile
     far = Tile(3000000, "S")
     assert validate(Tiling(5, (far, Tile(1, "S")))) == [
         "tiles are not in ascending location order",
         "tile S3000000 covers cell 3000000 beyond length 5",
         "cells 2..5 uncovered",
     ]
-    assert "mask" not in far.__dict__
+    assert "cells" not in far.__dict__
 
 
 def test_to_tokens_examples():
