@@ -57,12 +57,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .enumerator import CLASS_PRESETS, enumerate_tilings
-    from .strip_model import to_tokens
+    from .enumerator import CLASS_PRESETS, _token_lines
 
-    lines = map(to_tokens, enumerate_tilings(args.n, CLASS_PRESETS[args.classes]))
+    lines = _token_lines(args.n, CLASS_PRESETS[args.classes])
     if args.format == "jsonl":
-        lines = (_to_json({"n": args.n, "tokens": tokens}) for tokens in lines)
+        # Tokens hold only S, I, H, digits and spaces, which JSON leaves unescaped.
+        lines = ('{"n":%d,"tokens":"%s"}' % (args.n, tokens) for tokens in lines)
     _write_lines(lines)
     return 0
 

@@ -9,9 +9,11 @@ up to the next frontier cell, c+1 to c+4, so the frontier state is the cell
 c alone, and every path places its tiles in location order.
 
 `_transitions` compiles those moves once per (n, classes) into a table keyed
-by frontier cell, kept for the process, and three consumers share it.
+by frontier cell, kept for the process, and four consumers share it.
 `enumerate_tilings` walks it depth first with `_walk`, which lists the paths
-of any such table, and materializes each tiling.  Counts, partitions and
+of any such table, and materializes each tiling; `_token_lines` walks a copy
+holding each move's tokens and joins each path into one line of text, so
+the CLI's `enumerate` builds no tiling.  Counts, partitions and
 window tallies fold the table backward over the frontier cells (the
 transfer-matrix method), each with its own per-path carry, so their cost
 grows with n rather than with the number of tilings, and they never consult
@@ -60,9 +62,12 @@ def max_cells() -> int:
     if raw is None:
         return DEFAULT_MAX_CELLS
     try:
-        return int(raw)
+        cap = int(raw)
+        if cap >= 0:
+            return cap
     except ValueError:
-        raise ValueError(f"{MAX_CELLS_ENV} must be an integer, got {raw!r}") from None
+        pass
+    raise ValueError(f"{MAX_CELLS_ENV} must be a non-negative integer, got {raw!r}")
 
 
 def _check_size(n: int) -> None:
@@ -123,6 +128,16 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
     """
     _check_size(n)
     return _walk(_transitions(n, _class_set(classes)), n, Tiling)
+
+
+def _token_lines(n: int, classes) -> Iterator[str]:
+    """`to_tokens` of each tiling `enumerate_tilings(n, classes)` yields, in order."""
+    _check_size(n)
+    table = {
+        c: tuple((tuple(tile.token for tile in tiles), next_c) for tiles, next_c in moves)
+        for c, moves in _transitions(n, _class_set(classes)).items()
+    }
+    return _walk(table, n, lambda n, tokens: " ".join(tokens))
 
 
 def _walk(table: dict, n: int, make) -> Iterator:

@@ -345,6 +345,21 @@ def test_stdout_matches_recorded_digests(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_enumerate_builds_no_tiling_and_reads_no_tiling_tokens(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerate built a Tiling or called to_tokens")
+
+    monkeypatch.setattr("hexdomino.strip_model.to_tokens", forbidden)
+    monkeypatch.setattr("hexdomino.enumerator.Tiling", forbidden)
+    for fmt, lines, digest in (
+        ("tokens", 401, "97431fca1fd1847ccbf09662d5ba4d3c4a4e2f501ce39b65e000324b5871bfc8"),
+        ("jsonl", 401, "d181d0000f0b9e1856729627bf0ad7d122b3aac5b750fd8c61b891cebd0e1ca2"),
+    ):
+        code, out, err = run(capsys, "enumerate", "--n", "10", "--format", fmt)
+        assert (code, err, out.count("\n")) == (0, "", lines), fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 class CountingStdout(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -470,13 +485,15 @@ def test_huge_cap_does_not_slow_a_one_record_oracle_run():
 
 
 def test_cap_env_garbage_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("HEXDOMINO_MAX_N", "plenty")
-    code, _, _ = run(capsys, "enumerate", "--n", "3")
-    assert code == 1
-    code, out, _ = run(capsys, "verify", "--identity", "thm4", "--from", "5", "--to", "6")
-    assert (code, out) == (1, "")
-    code, out, _ = run(capsys, "count", "--n", "3")
-    assert (code, out) == (0, "4\n")
+    for raw in ("plenty", "-1"):
+        monkeypatch.setenv("HEXDOMINO_MAX_N", raw)
+        code, out, err = run(capsys, "enumerate", "--n", "0")
+        assert (code, out) == (1, "")
+        assert err == f"error: HEXDOMINO_MAX_N must be a non-negative integer, got {raw!r}\n"
+        code, out, _ = run(capsys, "verify", "--identity", "thm4", "--from", "5", "--to", "6")
+        assert (code, out) == (1, "")
+        code, out, _ = run(capsys, "count", "--n", "3")
+        assert (code, out) == (0, "4\n")
 
 
 def test_module_entry_point_reports_errors():

@@ -28,7 +28,7 @@ from hexdomino import (
     to_tokens,
     validate,
 )
-from hexdomino.enumerator import CanonicalRank, _transitions
+from hexdomino.enumerator import CanonicalRank, _token_lines, _transitions
 
 GOLDEN_N4 = [
     "S1 S2 S3 S4",
@@ -172,6 +172,26 @@ def test_walk_matches_reference_and_yields_canonical_tilings():
             assert walked == reference_walk(n, classes), (sorted(classes), n)
 
 
+def test_token_lines_are_the_tokens_of_the_walk():
+    for classes in CLASS_SETS:
+        for n in range(15):
+            expected = [to_tokens(t) for t in enumerate_tilings(n, classes)]
+            assert list(_token_lines(n, classes)) == expected, (sorted(classes), n)
+    assert list(_token_lines(0, ALL_CLASSES)) == [""]
+
+
+def test_token_lines_check_the_cap_before_the_first_line(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "10")
+    with pytest.raises(CapExceeded):
+        _token_lines(11, ALL_CLASSES)  # raised by the call, not by the first next()
+
+
+def test_deep_strips_list_tokens_without_recursion(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "3000")
+    first = next(_token_lines(3000, ALL_CLASSES))
+    assert first == " ".join(f"S{c}" for c in range(1, 3001))
+
+
 def test_ranks_count_off_the_canonical_order():
     for n in range(17):
         ranking = CanonicalRank(n)
@@ -300,6 +320,7 @@ def test_cap_env_override(monkeypatch):
 
 
 def test_cap_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("HEXDOMINO_MAX_N", "plenty")
-    with pytest.raises(ValueError):
-        max_cells()
+    for raw in ("plenty", "-1"):
+        monkeypatch.setenv("HEXDOMINO_MAX_N", raw)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            max_cells()
