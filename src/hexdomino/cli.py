@@ -10,7 +10,6 @@ Each handler imports the layers it runs, so a process loads only those:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Sequence
@@ -23,10 +22,6 @@ from .sequences import PRESET_NAMES, closed_count, fibonacci_comb, tetranacci
 # On unbuffered stdout (`python -u`, PYTHONUNBUFFERED) a `print` per line
 # costs two system calls, and on a terminal one.
 _BLOCK_LINES = 1024
-
-# One compact encoder for every JSON line; `json.dumps(..., separators=...)`
-# builds a new encoder per call.
-_to_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _write_lines(lines: Iterable[str]) -> None:
@@ -100,7 +95,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for descriptor, span in runs:
         for n in span:
             record = descriptor.record(n, args.mode)
-            write(_to_json(record.to_json_dict()) + "\n")
+            write(record.to_json_line() + "\n")
             passed = record.checks_ok if args.expect_mismatch else record.ok
             all_ok = all_ok and passed
     return 0 if all_ok else 2
@@ -161,8 +156,9 @@ def _bijection_payload(name: str, n: int) -> dict:
 def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.name != "thm2" and args.n < 0:
         raise _UsageError(f"--n must be >= 0, got {args.n}")
+    import json  # the only command that builds a JSON line from a dict
     payload = _bijection_payload(args.name, args.n)
-    print(_to_json(payload))
+    print(json.dumps(payload, separators=(",", ":")))
     return 0 if payload["ok"] else 2
 
 

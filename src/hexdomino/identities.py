@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from functools import cache
-from operator import lshift, mul
+from operator import mul
 
 from .enumerator import (
     CLASS_PRESETS,
@@ -57,6 +56,7 @@ PAPER_STATED = "paper-stated"
 CORRECTED_VARIANT = "corrected-variant"
 
 ABSENT = "absent"  # group key for tilings containing no tile of the conditioned class
+_JSON_BOOL = ("false", "true")  # indexed by a bool
 
 
 class OracleOutcome(namedtuple("OracleOutcome", "total groups", defaults=(None,))):
@@ -156,30 +156,26 @@ class IdentityRecord(namedtuple(
     def ok(self) -> bool:
         return self.equal and self.checks_ok
 
-    def to_json_dict(self) -> dict:
-        """JSONL record; counts are decimal strings (they outgrow doubles)."""
-        record: dict = {
-            "id": self.id,
-            "n": self.n,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "equal": self.equal,
-            "mode": self.mode,
-        }
+    def to_json_line(self) -> str:
+        """JSONL record; counts are decimal strings (they outgrow doubles).  Ids, modes
+        and group keys (`absent`, `missing`, `duplicated`, locations, crossing keys such
+        as `low-horizontal:square`) are plain ASCII that JSON leaves unescaped."""
+        line = '{"id":"%s","n":%d,"lhs":"%d","rhs":"%d","equal":%s,"mode":"%s"' % (
+            self.id, self.n, self.lhs, self.rhs, _JSON_BOOL[self.equal], self.mode)
         if self.oracle_total is not None:
-            record["oracle_total"] = str(self.oracle_total)
+            line += ',"oracle_total":"%d"' % self.oracle_total
         if self.groups is not None:
-            record["groups"] = [
-                {
-                    "key": g.key,
-                    "expected": str(g.expected),
-                    "observed": str(g.observed),
-                    "match": g.match,
-                }
+            line += ',"groups":[%s]' % ",".join(
+                '{"key":"%s","expected":"%d","observed":"%d","match":%s}'
+                % (g.key, g.expected, g.observed, _JSON_BOOL[g.match])
                 for g in self.groups
-            ]
-        record["ok"] = self.ok
-        return record
+            )
+        return line + ',"ok":%s}' % _JSON_BOOL[self.ok]
+
+    def to_json_dict(self) -> dict:
+        """The line `to_json_line` builds, parsed."""
+        import json  # loaded only here: the CLI writes the line itself
+        return json.loads(self.to_json_line())
 
 
 class VerificationReport(namedtuple("VerificationReport", "id mode records")):
@@ -325,11 +321,18 @@ def _first_inclined_expected(length: int, absent: int) -> dict[str, int]:
 # each slice, so a T index that falls by 2 as i rises is a slice with step -2.
 # The thm8 family sums by first-inclined location j, whose f factors are g(j).
 
-@cache
+_thm5_state = (3, 8, 1)  # (n, A(n), B(n)) for the latest n asked of _thm5_tail
+
+
 def _thm5_tail(n: int) -> int:
-    """sum_{i=1..n-1} 2^i T(2n-2i-2) + 5 sum_{i=0..n-3} 2^i T(2n-2i-5), both thm5 forms."""
-    return sum(map(lshift, tet_terms(2 * n - 4, -2, -2), range(1, n))) + 5 * sum(
-        map(lshift, tet_terms(2 * n - 5, -1, -2), range(0, n - 2)))
+    """A(n) + 5 B(n), A(n) = sum_{i=1..n-1} 2^i T(2n-2i-2), B(n) = sum_{i=0..n-3} 2^i T(2n-2i-5),
+    by Horner's rule across n; an n below the kept n starts again from A(3) = 8, B(3) = 1."""
+    global _thm5_state
+    m, a, b = _thm5_state if n >= _thm5_state[0] else (3, 8, 1)
+    for even, odd in zip(tet_terms(2 * m - 2, 2 * n - 2, 2), tet_terms(2 * m - 3, 2 * n - 3, 2)):
+        a, b = 2 * (even + a), odd + 2 * b  # A(m+1) = 2 (T(2m-2) + A(m)), B(m+1) = T(2m-3) + 2 B(m)
+    _thm5_state = (max(m, n), a, b)  # an n below 3 keeps the state at 3
+    return a + 5 * b
 
 
 _HORIZONTAL_OR_LEFT = frozenset({HORIZONTAL, LEFT_INCLINED})

@@ -62,6 +62,25 @@ def test_count_prints_past_int_str_limit(capsys):
     assert int(lines[0][-9:]) == tetranacci(20000) % 10**9
 
 
+def test_verify_prints_a_count_past_int_str_limit(capsys):
+    # main lifts CPython's int-to-str limit before a record's template formats
+    # its counts; put the default limit back first, as in a fresh process.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "verify", "--identity", "thm1", "--from", "16000", "--to", "16000")
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+    assert (code, err) == (0, "")
+    (line,) = out.splitlines()
+    record = json.loads(line)
+    assert len(record["lhs"]) > 4300 and record["lhs"] == record["rhs"]
+    assert int(record["lhs"][-9:]) == tetranacci(16000) % 10**9
+    assert record["equal"] is True and record["ok"] is True
+
+
 def test_count_negative_rejected(capsys):
     code, _, err = run(capsys, "count", "--n", "-3")
     assert code == 1

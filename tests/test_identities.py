@@ -1,5 +1,8 @@
 """Identity registry: closed evaluation, oracle verification, partition checks."""
+import json
 from collections import Counter
+from functools import cache
+from operator import lshift
 
 import pytest
 
@@ -19,7 +22,8 @@ from hexdomino import (
 )
 from hexdomino import identities
 from hexdomino.enumerator import last_tile_group
-from hexdomino.identities import ABSENT
+from hexdomino.identities import ABSENT, GroupCheck, IdentityRecord
+from hexdomino.sequences import tetranacci_terms as tet_terms
 
 REGISTRY_ORDER = [
     "thm1",
@@ -358,6 +362,79 @@ def test_record_json_shape_oracle_without_partition():
     payload = record.to_json_dict()
     assert "groups" not in payload
     assert payload["oracle_total"] == "32"
+
+
+def reference_dict(record):
+    """The record as a dict, field by field, for the standard encoder: the reference
+    for `to_json_line`."""
+    payload = {
+        "id": record.id,
+        "n": record.n,
+        "lhs": str(record.lhs),
+        "rhs": str(record.rhs),
+        "equal": record.equal,
+        "mode": record.mode,
+    }
+    if record.oracle_total is not None:
+        payload["oracle_total"] = str(record.oracle_total)
+    if record.groups is not None:
+        payload["groups"] = [
+            {"key": g.key, "expected": str(g.expected), "observed": str(g.observed),
+             "match": g.match}
+            for g in record.groups
+        ]
+    payload["ok"] = record.ok
+    return payload
+
+
+@cache
+def oracle_records():
+    """Every oracle record under the default cap, for every identity."""
+    return tuple(
+        record
+        for descriptor in list_identities()
+        for record in verify_range(descriptor.id, *ORACLE_SPANS[descriptor.id], mode="oracle").records
+    )
+
+
+def test_json_line_is_the_reference_encoding():
+    closed = tuple(
+        record
+        for descriptor in list_identities()
+        for record in verify_range(descriptor.id, descriptor.n_lo, 120).records
+    )
+    # a failed oracle total and group, so `false` shows in every boolean field
+    broken = IdentityRecord("thm4", 5, 14, 13, "oracle", 15, (GroupCheck("absent", 1, 2),))
+    for record in (*closed, *oracle_records(), broken):
+        line = record.to_json_line()
+        assert line == json.dumps(reference_dict(record), separators=(",", ":")), (
+            record.id, record.n, record.mode)
+        assert record.to_json_dict() == reference_dict(record)
+
+
+def test_ids_and_group_keys_need_no_json_escaping():
+    keys = {descriptor.id for descriptor in list_identities()}
+    for record in oracle_records():
+        keys.update(g.key for g in record.groups or ())
+    assert {ABSENT, "missing", "duplicated", "low-horizontal:square", "horizontal+square"} <= keys
+    for key in keys:
+        assert json.dumps(key) == '"%s"' % key, key
+
+
+def _thm5_sums(n):
+    # the two sums term by term over memo slices: the reference for Horner's rule
+    return sum(map(lshift, tet_terms(2 * n - 4, -2, -2), range(1, n))) + 5 * sum(
+        map(lshift, tet_terms(2 * n - 5, -1, -2), range(0, n - 2)))
+
+
+def test_thm5_tail_by_horner_rule_in_either_direction(monkeypatch):
+    for n in (*range(3, 401), *range(400, 2, -1)):
+        assert identities._thm5_tail(n) == _thm5_sums(n), n
+    monkeypatch.setattr(identities, "_thm5_state", (3, 8, 1))  # restored afterwards
+    assert identities._thm5_tail(700) == _thm5_sums(700)
+    assert identities._thm5_state[0] == 700  # one state kept, not a table
+    identities._thm5_tail(2)  # below the stated range: must leave a valid state
+    assert identities._thm5_tail(4) == _thm5_sums(4)
 
 
 def test_printed_record_flags():

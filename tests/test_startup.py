@@ -87,7 +87,8 @@ print(" ".join(sys.modules), file=sys.stderr)
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis"}
 
 
-@pytest.mark.parametrize("argv", [
+# One run of each command, every verify mode and both kinds of bijection.
+EVERY_COMMAND = [
     ("count", "--n", "5"),
     ("sequences", "--name", "f", "--from", "0", "--to", "9"),
     ("enumerate", "--n", "6", "--format", "jsonl"),
@@ -98,11 +99,22 @@ INTROSPECTION = {"dataclasses", "inspect", "ast", "dis"}
     ("verify", "--identity", "thm2_num", "--mode", "oracle", "--from", "6", "--to", "7"),
     ("bijection", "--name", "thm2", "--n", "8"),
     ("bijection", "--name", "lemma2", "--n", "6"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_no_command_loads_dataclasses_or_introspection(argv):
     loaded = loaded_modules(*argv, code=ALL_MODULES)
     assert "hexdomino.cli" in loaded
     assert not loaded & INTROSPECTION
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_only_bijection_loads_json(argv):
+    # verify writes each record from a line template; bijection encodes a dict
+    loaded = loaded_modules(*argv, code=ALL_MODULES)
+    assert "hexdomino.cli" in loaded
+    assert ("json" in loaded) == (argv[0] == "bijection")
 
 
 def test_every_public_name_is_its_defining_modules_object():
