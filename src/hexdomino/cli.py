@@ -54,11 +54,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     from .enumerator import CLASS_PRESETS, _token_lines
 
-    lines = _token_lines(args.n, CLASS_PRESETS[args.classes])
-    if args.format == "jsonl":
-        # Tokens hold only S, I, H, digits and spaces, which JSON leaves unescaped.
-        lines = ('{"n":%d,"tokens":"%s"}' % (args.n, tokens) for tokens in lines)
-    _write_lines(lines)
+    if args.n < 0:
+        raise _UsageError(f"--n must be >= 0, got {args.n}")
+    # Tokens hold only S, I, H, digits and spaces, which JSON leaves unescaped.
+    frame = ('{"n":%d,"tokens":"' % args.n, '"}') if args.format == "jsonl" else ()
+    _write_lines(_token_lines(args.n, CLASS_PRESETS[args.classes], *frame))
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 from .enumerator import (
@@ -64,7 +64,7 @@ def enumerate_single_strip(length: int) -> Iterator[SingleStripTiling]:
         table[c] = [((SingleTile(c, "S"),), c + 1)]
         if c < length:
             table[c].append(((SingleTile(c + 1, "D"),), c + 2))
-    return _walk(table, length, SingleStripTiling)
+    return map(SingleStripTiling, repeat(length), _walk(table, length, (), ()))
 
 
 def thm2_map(tiling: Tiling) -> tuple[Tiling, Tiling]:

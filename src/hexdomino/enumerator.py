@@ -10,10 +10,11 @@ c alone, and every path places its tiles in location order.
 
 `_transitions` compiles those moves once per (n, classes) into a table keyed
 by frontier cell, kept for the process, and four consumers share it.
-`enumerate_tilings` walks it depth first with `_walk`, which lists the paths
-of any such table, and materializes each tiling; `_token_lines` walks a copy
-holding each move's tokens and joins each path into one line of text, so
-the CLI's `enumerate` builds no tiling.  Counts, partitions and
+`_walk` lists the paths of any such table: all paths that reach a late cell
+share its finishes, built once, so it walks only the early cells and yields
+each path there before every finish.  `enumerate_tilings` walks the tiles;
+`_token_lines` walks a copy holding each move's tokens as text, so the CLI's
+`enumerate` builds no tiling and joins no tokens.  Counts, partitions and
 window tallies fold the table backward over the frontier cells (the
 transfer-matrix method), each with its own per-path carry, so their cost
 grows with n rather than with the number of tilings, and they never consult
@@ -26,6 +27,7 @@ import os
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache, lru_cache
+from itertools import chain, repeat
 
 from .strip_model import (
     ALL_CLASSES,
@@ -40,6 +42,7 @@ from .strip_model import (
 
 DEFAULT_MAX_CELLS = 24
 MAX_CELLS_ENV = "HEXDOMINO_MAX_N"
+_SHARED_FINISHES = 256  # most finishes `_walk` builds and shares; bounds its memory
 
 CLASS_PRESETS: dict[str, frozenset[str]] = {
     "all": ALL_CLASSES,
@@ -127,46 +130,48 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
     and each path's tiles come in location order, so no tiling is sorted.
     """
     _check_size(n)
-    return _walk(_transitions(n, _class_set(classes)), n, Tiling)
+    return map(Tiling, repeat(n), _walk(_transitions(n, _class_set(classes)), n, (), ()))
 
 
-def _token_lines(n: int, classes) -> Iterator[str]:
-    """`to_tokens` of each tiling `enumerate_tilings(n, classes)` yields, in order."""
+def _token_lines(n: int, classes, head: str = "", tail: str = "") -> Iterator[str]:
+    """head + `to_tokens` + tail of each tiling `enumerate_tilings(n, classes)` yields."""
     _check_size(n)
     table = {
-        c: tuple((tuple(tile.token for tile in tiles), next_c) for tiles, next_c in moves)
+        c: tuple((" " * (c > 1) + " ".join(tile.token for tile in tiles), next_c)
+                 for tiles, next_c in moves)
         for c, moves in _transitions(n, _class_set(classes)).items()
     }
-    return _walk(table, n, lambda n, tokens: " ".join(tokens))
+    return _walk(table, n, head, tail)
 
 
-def _walk(table: dict, n: int, make) -> Iterator:
-    """Yield make(n, tiles) for every path through a move table, depth first.
+def _walk(table: dict, n: int, head, tail) -> Iterator:
+    """Yield head + (a path's move values, concatenated) + tail for every path
+    through a table of (value, next_c) moves per frontier cell, tried in order.
 
-    `table` maps each frontier cell 1..n to its (tiles, next_c) moves, tried
-    in order; a path ends at a move past cell n and `tiles` holds its moves'
-    tiles in path order.  The stack is explicit, so n is not bound by the
-    recursion limit.  A frame holds the untried moves of one frontier cell on
-    the current path and the number of path tiles placed before it.
+    Every path reaching cell c shares its finishes, so `finishes[c]` lists them
+    once, in walk order, built from c = n down while they number at most
+    _SHARED_FINISHES in all; a path reaching such a cell yields itself before each.
+    Earlier cells are walked depth first on a stack of (parts kept, value, cell)
+    over one list of path parts: no recursion, and memory linear in n.
     """
-    if n == 0:
-        yield make(0, ())
-        return
-    tiles: list = []
-    stack = [(iter(table[1]), 0)]
-    while stack:
-        moves, depth = stack[-1]
-        move = next(moves, None)
-        if move is None:
-            stack.pop()
-            continue
-        placed, next_c = move
-        del tiles[depth:]
-        tiles += placed
-        if next_c > n:
-            yield make(n, tuple(tiles))
-        else:
-            stack.append((iter(table[next_c]), len(tiles)))
+    finishes, c, held = {n + 1: [tail]}, n, 0
+    while c and (held := held + sum(len(finishes[x]) for _, x in table[c])) <= _SHARED_FINISHES:
+        finishes[c] = [value + rest for value, next_c in table[c] for rest in finishes[next_c]]
+        c -= 1
+    join = "".join if isinstance(head, str) else lambda parts: tuple(chain.from_iterable(parts))
+
+    def blocks():
+        parts, stack = [], [(0, head, 1)]
+        while stack:
+            depth, value, c = stack.pop()
+            parts[depth:] = [value]
+            if c in finishes:
+                path = join(parts)
+                yield [path + rest for rest in finishes[c]]
+            else:
+                stack += [(depth + 1, value, next_c) for value, next_c in reversed(table[c])]
+
+    return chain.from_iterable(blocks())
 
 
 def _fold(n: int, allowed: frozenset[str], start, carry) -> dict:

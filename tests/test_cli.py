@@ -87,6 +87,12 @@ def test_count_negative_rejected(capsys):
     assert err
 
 
+def test_enumerate_negative_is_a_usage_error(capsys):
+    for fmt in ("tokens", "jsonl"):
+        code, out, err = run(capsys, "enumerate", "--n", "-1", "--format", fmt)
+        assert (code, out, err) == (1, "", "usage error: --n must be >= 0, got -1\n"), fmt
+
+
 def test_enumerate_golden(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "4")
     assert code == 0
@@ -165,6 +171,22 @@ def test_render_of_many_tiles_keeps_no_bitmask_per_tile():
     assert (code, result.stderr) == (0, "")
     assert upper.split()[-1] == f"[S{n}]" and lower.split()[-1] == f"[S{n - 1}]"
     assert peak_kb < 40 * 1024
+
+
+def test_enumerate_n20_holds_no_more_than_a_block_of_lines():
+    # 283,953 lines, about 17 MB of text: a walk holding every finish or line
+    # would peak far above the 15 MB a streaming process uses
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCH, "-m", "hexdomino", "enumerate", "--n", "20"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    *lines, status = result.stdout.splitlines()
+    code, peak_kb = map(int, status.split())
+    assert (code, result.stderr, len(lines)) == (0, "", 283953)
+    assert lines[0] == " ".join(f"S{c}" for c in range(1, 21))
+    assert lines[-1] == " ".join(f"H{c}" for c in range(1, 21) if c % 4 in (0, 3))
+    assert peak_kb < 25 * 1024
 
 
 def test_render_reports_each_run_of_uncovered_cells_once(capsys):

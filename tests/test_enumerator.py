@@ -1,6 +1,7 @@
 """Enumeration engine: canonical order, restricted families, partitions, crossings."""
+import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import pytest
 
@@ -28,6 +29,8 @@ from hexdomino import (
     to_tokens,
     validate,
 )
+from hexdomino import enumerator
+from hexdomino.correspondences import SingleStripTiling, SingleTile, enumerate_single_strip
 from hexdomino.enumerator import CanonicalRank, _token_lines, _transitions
 
 GOLDEN_N4 = [
@@ -186,6 +189,41 @@ def test_token_lines_check_the_cap_before_the_first_line(monkeypatch):
         _token_lines(11, ALL_CLASSES)  # raised by the call, not by the first next()
 
 
+def test_tilings_and_single_strips_check_the_cap_before_the_first_item(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "10")
+    for walk in (enumerate_tilings, enumerate_single_strip):
+        with pytest.raises(CapExceeded):
+            walk(11)  # raised by the call, not by the first next()
+
+
+def single_strip_reference(n):
+    """Square/domino tilings of n cells from the sequences of parts 1 and 2
+    summing to n, sorted; a part ends at the running sum."""
+    parts = sorted(p for k in range(n + 1) for p in product((1, 2), repeat=k) if sum(p) == n)
+    return [
+        SingleStripTiling(n, tuple(
+            SingleTile(end, "S" if part == 1 else "D") for part, end in zip(p, accumulate(p))
+        ))
+        for p in parts
+    ]
+
+
+@pytest.mark.parametrize("shared", [0, 1, 3, 256, 10**6])
+def test_walk_lists_the_same_paths_whatever_it_shares(monkeypatch, shared):
+    # 0 shares no finish, so every path walks to the end; 10**6 shares them all
+    monkeypatch.setattr(enumerator, "_SHARED_FINISHES", shared)
+    for n in range(15):
+        for classes in CLASS_SETS:
+            expected = reference_walk(n, classes)
+            assert list(enumerate_tilings(n, classes)) == expected, (sorted(classes), n)
+            tokens = [to_tokens(t) for t in expected]
+            assert list(_token_lines(n, classes)) == tokens, (sorted(classes), n)
+            head = '{"n":%d,"tokens":"' % n
+            framed = [head + line + '"}' for line in tokens]
+            assert list(_token_lines(n, classes, head, '"}')) == framed, (sorted(classes), n)
+        assert list(enumerate_single_strip(n)) == single_strip_reference(n), n
+
+
 def test_deep_strips_list_tokens_without_recursion(monkeypatch):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "3000")
     first = next(_token_lines(3000, ALL_CLASSES))
@@ -233,6 +271,21 @@ def test_deep_strips_enumerate_without_recursion(monkeypatch):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "3000")
     first = next(enumerate_tilings(3000))
     assert len(first.tiles) == 3000 and all(tile.kind == "S" for tile in first.tiles)
+
+
+def test_deep_strips_of_one_tiling_share_a_bounded_number_of_finishes(monkeypatch):
+    # each cell has one finish here, so a bound per cell would share all 3,000
+    # cells' finishes: 4.5 million tile references, 36 MB
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "3000")
+    for classes in ({SQUARE}, {HORIZONTAL}):
+        tracemalloc.start()
+        try:
+            assert len(list(enumerate_tilings(3000, classes))) == 1
+            assert len(list(_token_lines(3000, classes))) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, classes
 
 
 def test_classify_diagonal_examples():
