@@ -44,9 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(flag: str, value: int, floor: int = 0) -> None:
+    if value < floor:
+        raise _UsageError(f"{flag} must be >= {floor}, got {value}")
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise _UsageError(f"--n must be >= 0, got {args.n}")
+    _at_least("--n", args.n)
     print(closed_count(args.classes, args.n))
     return 0
 
@@ -54,8 +58,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     from .enumerator import CLASS_PRESETS, _token_lines
 
-    if args.n < 0:
-        raise _UsageError(f"--n must be >= 0, got {args.n}")
+    _at_least("--n", args.n)
     # Tokens hold only S, I, H, digits and spaces, which JSON leaves unescaped.
     frame = ('{"n":%d,"tokens":"' % args.n, '"}') if args.format == "jsonl" else ()
     _write_lines(_token_lines(args.n, CLASS_PRESETS[args.classes], *frame))
@@ -63,6 +66,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    _at_least("--n", args.n)
     from .strip_model import parse_tokens, render_ascii
 
     print(render_ascii(parse_tokens(args.tiling, args.n)))
@@ -154,8 +158,7 @@ def _bijection_payload(name: str, n: int) -> dict:
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
-    if args.name != "thm2" and args.n < 0:
-        raise _UsageError(f"--n must be >= 0, got {args.n}")
+    _at_least("--n", args.n, 5 if args.name == "thm2" else 0)
     import json  # the only command that builds a JSON line from a dict
     payload = _bijection_payload(args.name, args.n)
     print(json.dumps(payload, separators=(",", ":")))
@@ -165,6 +168,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 def _cmd_sequences(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise _UsageError(f"--from must be <= --to, got {args.start}..{args.stop}")
+    _at_least("--from", args.start, -1 if args.name == "T" else 0)
     term = tetranacci if args.name == "T" else fibonacci_comb
     _write_lines(f"{i}\t{term(i)}" for i in range(args.start, args.stop + 1))
     return 0

@@ -22,7 +22,7 @@ mismatch instead of silently patching it.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from operator import mul
 
 from .enumerator import (
@@ -39,7 +39,6 @@ from .sequences import (
     _terms,
     closed_count,
     fibonacci_comb as fib,
-    fibonacci_terms as fib_terms,
     pow2,
     tetranacci as tet,
     tetranacci_terms as tet_terms,
@@ -299,41 +298,44 @@ def _grow_weights(j: int) -> None:
         _G.append(fib(len(_G) // 2) * fib((len(_G) + 1) // 2))
 
 
-def _weight_terms(start: int, stop: int, step: int = 1) -> list[int]:
-    """[g(j) for j in range(start, stop, step)], sliced from the weight memo."""
-    return _terms(_G, -2, _grow_weights, range(start, stop, step))
-
-
-def _by_first_inclined(length: int) -> Iterator[int]:
-    """g(j) T(length-j) for j = 2..length: the tilings whose first inclined tile is at j."""
-    return map(mul, _weight_terms(2, length + 1), tet_terms(length - 2, -1, -1))
-
-
 def _first_inclined_expected(length: int, absent: int) -> dict[str, int]:
-    groups: dict[str, int] = {ABSENT: absent}
-    groups.update(zip(map(str, range(2, length + 1)), _by_first_inclined(length)))
-    return groups
+    """g(j) T(length-j) for j = 2..length: the tilings whose first inclined tile is at j."""
+    weights = _terms(_G, -2, _grow_weights, range(2, length + 1))  # a slice of the memo
+    located = map(mul, weights, tet_terms(length - 2, -1, -1))
+    return {ABSENT: absent, **dict(zip(map(str, range(2, length + 1)), located))}
 
 
 # --- right sides ---------------------------------------------------------------
 
-# Each sum runs over memo slices: term i of a sum pairs the i-th entry of
-# each slice, so a T index that falls by 2 as i rises is a slice with step -2.
-# The thm8 family sums by first-inclined location j, whose f factors are g(j).
+class _Stepper:
+    """s(n) = step(n, window) past seed = (s(first), s(first + 1), ...), the window holding
+    the len(seed) values before s(n).  Keeps the latest window; a lower n restarts at the seed."""
 
-_thm5_state = (3, 8, 1)  # (n, A(n), B(n)) for the latest n asked of _thm5_tail
+    def __init__(self, first: int, seed: tuple[int, ...], step: Callable[..., int]) -> None:
+        self.first, self.step = first, step
+        self.seed = self.state = (first + len(seed) - 1, seed)  # window[-1] == s(last)
+
+    def __call__(self, n: int) -> int:
+        if n < self.first:
+            raise ValueError(f"stepped sum starts at n={self.first}, got n={n}")
+        last, window = self.state if n > self.state[0] - len(self.state[1]) else self.seed
+        while last < n:
+            last += 1
+            window = (*window[1:], self.step(last, window))
+        self.state = (last, window)
+        return window[n - last - 1]
 
 
-def _thm5_tail(n: int) -> int:
-    """A(n) + 5 B(n), A(n) = sum_{i=1..n-1} 2^i T(2n-2i-2), B(n) = sum_{i=0..n-3} 2^i T(2n-2i-5),
-    by Horner's rule across n; an n below the kept n starts again from A(3) = 8, B(3) = 1."""
-    global _thm5_state
-    m, a, b = _thm5_state if n >= _thm5_state[0] else (3, 8, 1)
-    for even, odd in zip(tet_terms(2 * m - 2, 2 * n - 2, 2), tet_terms(2 * m - 3, 2 * n - 3, 2)):
-        a, b = 2 * (even + a), odd + 2 * b  # A(m+1) = 2 (T(2m-2) + A(m)), B(m+1) = T(2m-3) + 2 B(m)
-    _thm5_state = (max(m, n), a, b)  # an n below 3 keeps the state at 3
-    return a + 5 * b
-
+# Each sum steps by its weights' own recurrence, never by T's: a prefix sum (thm4), Horner's
+# rule in 2^i (thm5's two sums), f(i) = f(i-1) + f(i-2) (thm6, thm7).  The thm8 family sums
+# g(j) T(L-j) over even and odd first-inclined j apart: g(2k) = f(k-1)^2, g(2k+1) = f(k-1) f(k).
+_f_products = lambda s: 2 * (s[-2] + s[-4]) - s[-6]  # both obey a(k) = 2a(k-1) + 2a(k-2) - a(k-3)
+_thm4_prefix = _Stepper(2, (0,), lambda n, s: s[-1] + tet(n - 4))
+_thm5_tail = _Stepper(3, (13,), lambda n, s: 2 * (s[-1] + tet(2 * n - 4)) + 5 * tet(2 * n - 5))
+_thm6_sum = _Stepper(0, (0, 1), lambda n, s: s[-1] + s[-2] + tet(2 * n - 1) + tet(2 * n - 3))
+_thm7_sum = _Stepper(0, (0, 0, 0), lambda n, s: s[-1] + s[-2] + tet(n - 3) + tet(n - 4))
+_even_j = _Stepper(0, (0, 0, 1, 1, 3, 5), lambda L, s: _f_products(s) + tet(L - 2) - tet(L - 4))
+_odd_j = _Stepper(0, (0, 0, 0, 1, 1, 4), lambda L, s: _f_products(s) + tet(L - 3))
 
 _HORIZONTAL_OR_LEFT = frozenset({HORIZONTAL, LEFT_INCLINED})
 _INCLINED = frozenset({RIGHT_INCLINED, LEFT_INCLINED})
@@ -381,7 +383,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=5, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: tet(n) - 1,
-            rhs=lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * sum(tet_terms(0, n - 3)),
+            rhs=lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * _thm4_prefix(n),
             oracle=_partition_oracle(same, DOMINO_CLASSES),
             partition_expected=_thm4_expected,
         ),
@@ -437,7 +439,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=3, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - fib(n),
-            rhs=lambda n: sum(map(mul, tet_terms(2 * n - 1, -1, -2), fib_terms(1, n + 1))),
+            rhs=_thm6_sum,
             oracle=_partition_oracle(even, frozenset({SQUARE})),
             partition_expected=_thm6_expected,
         ),
@@ -447,7 +449,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=5, provenance=PAPER_STATED,
             strip_length=same,
             lhs=lambda n: tet(n) - fib(n),
-            rhs=lambda n: sum(map(mul, fib_terms(1, n - 1), tet_terms(n - 3, -1, -1))),
+            rhs=_thm7_sum,
             oracle=_partition_oracle(same, frozenset({HORIZONTAL})),
             partition_expected=_thm7_expected,
         ),
@@ -457,7 +459,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=3, provenance=PAPER_STATED,
             strip_length=even,
             lhs=lambda n: tet(2 * n) - fib(n) ** 2,
-            rhs=lambda n: sum(_by_first_inclined(2 * n)),
+            rhs=lambda n: _even_j(2 * n) + _odd_j(2 * n),
             oracle=_partition_oracle(even, _INCLINED),
             partition_expected=lambda n: _first_inclined_expected(2 * n, fib(n) ** 2),
         ),
@@ -467,10 +469,8 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=2, provenance=PAPER_STATED,
             strip_length=odd,
             lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
-            # even j against T(2n+1-j), odd j against T(2n+3-j)
-            rhs=lambda n: sum(map(
-                mul, _weight_terms(2, 2 * n + 1, 2) + _weight_terms(3, 2 * n + 2, 2),
-                tet_terms(2 * n - 1, -1, -2) + tet_terms(2 * n, 0, -2))),
+            # even j against T(2n+1-j), odd j = 3..2n+1 against T(2n+3-j)
+            rhs=lambda n: _even_j(2 * n + 1) + _odd_j(2 * n + 3) - fib(n) * fib(n + 1),
             oracle=_partition_oracle(odd, _INCLINED),
         ),
         IdentityDescriptor(
@@ -479,7 +479,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             n_lo=2, provenance=CORRECTED_VARIANT,
             strip_length=odd,
             lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
-            rhs=lambda n: sum(_by_first_inclined(2 * n + 1)),
+            rhs=lambda n: _even_j(2 * n + 1) + _odd_j(2 * n + 1),
             oracle=_partition_oracle(odd, _INCLINED),
             partition_expected=lambda n: _first_inclined_expected(2 * n + 1, fib(n) * fib(n + 1)),
         ),

@@ -6,9 +6,9 @@ combinatorial Fibonacci sequence f counts square/domino tilings of an n-cell
 single strip under the convention f_0 = f_1 = 1.
 
 The memo tables are append-only: a slot, once written, never changes, so a
-slice of a memo never goes stale.  The `*_terms` accessors return such slices,
-and a closed-form sum runs as one `sum(map(mul, ...))` over them instead of
-one call per term.
+slice of a memo never goes stale.  `tetranacci_terms` returns such a slice,
+and a list of closed-form terms runs as one `map(mul, ...)` over slices instead
+of one call per term.
 """
 from __future__ import annotations
 
@@ -63,11 +63,6 @@ def fibonacci_comb(i: int) -> int:
     """f_i for i >= 0 under the tiling convention f_0 = f_1 = 1."""
     _grow_fibonacci(i)
     return _F[i]
-
-
-def fibonacci_terms(start: int, stop: int, step: int = 1) -> list[int]:
-    """[fibonacci_comb(i) for i in range(start, stop, step)], sliced from the memo."""
-    return _terms(_F, 0, _grow_fibonacci, range(start, stop, step))
 
 
 def pow2(i: int) -> int:

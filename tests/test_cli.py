@@ -93,6 +93,24 @@ def test_enumerate_negative_is_a_usage_error(capsys):
         assert (code, out, err) == (1, "", "usage error: --n must be >= 0, got -1\n"), fmt
 
 
+def test_render_negative_is_a_usage_error(capsys):
+    for tiling in ("S1", ""):
+        assert run(capsys, "render", "--n", "-1", "--tiling", tiling) == (
+            1, "", "usage error: --n must be >= 0, got -1\n"), tiling
+
+
+def test_bijection_thm2_below_five_is_a_usage_error(capsys):
+    for n in ("-1", "4"):
+        assert run(capsys, "bijection", "--name", "thm2", "--n", n) == (
+            1, "", f"usage error: --n must be >= 5, got {n}\n"), n
+
+
+def test_sequences_below_the_first_index_is_a_usage_error(capsys):
+    for name, first, start in (("T", -1, "-3"), ("f", 0, "-1")):
+        assert run(capsys, "sequences", "--name", name, "--from", start, "--to", "2") == (
+            1, "", f"usage error: --from must be >= {first}, got {start}\n"), name
+
+
 def test_enumerate_golden(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "4")
     assert code == 0
@@ -345,6 +363,9 @@ STDOUT_SHA256 = {
     # closed sums near n = 1000, with their memos grown from n = 990 up
     ("verify", "--identity", "all", "--from", "990", "--to", "1000", "--expect-mismatch"):
         "d30c3ca5b5dcf4cdf8530d47afa1cc2bbd52d140a420252e3ace1763ac970501",
+    # every closed sum stepped across n = 0..1000: the run the README times
+    ("verify", "--identity", "all", "--from", "0", "--to", "1000", "--expect-mismatch"):
+        "ade276739d488087083715479724380d7d008c97b4a3728b69ebada82cbc492c",
     ("verify", "--identity", "all", "--mode", "oracle", "--from", "0", "--to", "10",
      "--expect-mismatch"):
         "48fe26c63ef2f1c81e5d2c27d0d177a062b0792784f7b77fd2e23d80f7ef6cad",

@@ -1,8 +1,9 @@
 """Identity registry: closed evaluation, oracle verification, partition checks."""
 import json
+import random
 from collections import Counter
 from functools import cache
-from operator import lshift
+from operator import lshift, mul
 
 import pytest
 
@@ -226,18 +227,20 @@ def test_partition_terms_add_up_to_the_closed_form_past_the_cap():
 
 
 def test_first_inclined_weight_memo_is_append_only(monkeypatch):
+    # The memo serves the oracle's expected first-inclined groups, g(j) T(length-j).
     monkeypatch.setattr(identities, "_G", [])  # a fresh memo, restored afterwards
-    early = identities._weight_terms(2, 41)
+    identities._grow_weights(40)
+    early = list(identities._G)
     assert early == [fib(j // 2 - 1) * fib((j + 1) // 2 - 1) for j in range(2, 41)]
-    thm8_family = ("thm8", "thm8c_printed", "thm8c_corrected")
     # the largest n first, so the small ones read a prefix of a grown memo
     for n in (250, *range(2, 41)):
-        for identity_id in thm8_family:
+        for identity_id in ("thm8", "thm8c_corrected"):
             if n >= LOWER_BOUNDS[identity_id]:
-                reference = TERM_BY_TERM[identity_id][1](n)
-                assert get_identity(identity_id).rhs(n) == reference, (identity_id, n)
+                groups = get_identity(identity_id).partition_expected(n)
+                located = sum(groups.values()) - groups[ABSENT]
+                assert located == TERM_BY_TERM[identity_id][1](n), (identity_id, n)
     assert len(identities._G) == 500  # g(2..501), for thm8c at n = 250
-    assert identities._weight_terms(2, 41) == early
+    assert identities._G[:39] == early
 
 
 def test_oracle_mode_all_identities():
@@ -428,13 +431,109 @@ def _thm5_sums(n):
 
 
 def test_thm5_tail_by_horner_rule_in_either_direction(monkeypatch):
+    tail = identities._thm5_tail
     for n in (*range(3, 401), *range(400, 2, -1)):
-        assert identities._thm5_tail(n) == _thm5_sums(n), n
-    monkeypatch.setattr(identities, "_thm5_state", (3, 8, 1))  # restored afterwards
-    assert identities._thm5_tail(700) == _thm5_sums(700)
-    assert identities._thm5_state[0] == 700  # one state kept, not a table
-    identities._thm5_tail(2)  # below the stated range: must leave a valid state
-    assert identities._thm5_tail(4) == _thm5_sums(4)
+        assert tail(n) == _thm5_sums(n), n
+    monkeypatch.setattr(tail, "state", tail.seed)  # back to n = 3; restored afterwards
+    assert tail(700) == _thm5_sums(700)
+    assert tail.state[0] == 700 and len(tail.state[1]) == 1  # one value kept, not a table
+    with pytest.raises(ValueError):
+        tail(2)  # below the stated range: raises, and must leave a valid state
+    assert tail(4) == _thm5_sums(4)
+
+
+# Reference right sides, summed over memo slices with one product per term, as
+# the paper states them.  The stepped sums must equal them exactly.
+def _fib_terms(start, stop, step=1):
+    return [fib(i) for i in range(start, stop, step)]
+
+
+def _weight_terms(start, stop, step=1):
+    return [fib(j // 2 - 1) * fib((j + 1) // 2 - 1) for j in range(start, stop, step)]
+
+
+def _by_first_inclined(length):
+    return sum(map(mul, _weight_terms(2, length + 1), tet_terms(length - 2, -1, -1)))
+
+
+reference_rhs = {
+    "thm4": lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * sum(tet_terms(0, n - 3)),
+    "thm5_printed": lambda n: 2 * tet(n - 3) + _thm5_sums(n),
+    "thm5_corrected": lambda n: 2 * tet(2 * n - 3) + _thm5_sums(n),
+    "thm6": lambda n: sum(map(mul, tet_terms(2 * n - 1, -1, -2), _fib_terms(1, n + 1))),
+    "thm7": lambda n: sum(map(mul, _fib_terms(1, n - 1), tet_terms(n - 3, -1, -1))),
+    "thm8": lambda n: _by_first_inclined(2 * n),
+    # even j against T(2n+1-j), odd j against T(2n+3-j)
+    "thm8c_printed": lambda n: sum(map(
+        mul, _weight_terms(2, 2 * n + 1, 2) + _weight_terms(3, 2 * n + 2, 2),
+        tet_terms(2 * n - 1, -1, -2) + tet_terms(2 * n, 0, -2))),
+    "thm8c_corrected": lambda n: _by_first_inclined(2 * n + 1),
+}
+
+STEPPERS = [v for v in vars(identities).values() if isinstance(v, identities._Stepper)]
+
+
+def _reset_steppers(monkeypatch):
+    for stepper in STEPPERS:
+        monkeypatch.setattr(stepper, "state", stepper.seed)  # restored afterwards
+
+
+@cache
+def _reference(identity_id, n):
+    return reference_rhs[identity_id](n)
+
+
+def test_stepped_sums_equal_the_sums_term_by_term(monkeypatch):
+    for identity_id in reference_rhs:
+        rhs = get_identity(identity_id).rhs
+        ascending = list(range(LOWER_BOUNDS[identity_id], 601))
+        shuffled = random.Random(identity_id).sample(ascending, len(ascending))
+        for n in (*ascending, *reversed(ascending), *shuffled):
+            assert rhs(n) == _reference(identity_id, n), (identity_id, n)
+    _reset_steppers(monkeypatch)
+    for identity_id in reference_rhs:
+        assert get_identity(identity_id).rhs(1500) == reference_rhs[identity_id](1500)
+
+
+# Every n below the stated range at which a right side raises ValueError; at any
+# other such n it equals its sum term by term.  thm5's tail starts at its stated
+# n = 3, the other stepped sums at n = 0, and T(-2) is undefined.
+RAISES_BELOW_RANGE = {
+    "thm4": range(-6, 2),
+    "thm5_printed": range(-6, 3),
+    "thm5_corrected": range(-6, 3),
+    "thm6": range(-6, 0),
+    "thm7": range(-6, 0),
+    "thm8": range(-6, 0),
+    "thm8c_printed": range(-6, 0),
+    "thm8c_corrected": range(-6, 0),
+}
+
+
+def test_stepped_sums_below_the_stated_range_raise_or_agree(monkeypatch):
+    for identity_id in reference_rhs:
+        rhs = get_identity(identity_id).rhs
+        for n in (600, *range(LOWER_BOUNDS[identity_id] - 1, -7, -1)):
+            if n in RAISES_BELOW_RANGE[identity_id]:
+                with pytest.raises(ValueError):
+                    rhs(n)
+            else:
+                assert rhs(n) == _reference(identity_id, n), (identity_id, n)
+        assert rhs(600) == _reference(identity_id, 600)  # a raise leaves a valid state
+
+
+def test_steppers_keep_one_window_and_closed_records_grow_no_weight_memo(monkeypatch):
+    assert len(STEPPERS) == 6
+    _reset_steppers(monkeypatch)
+    monkeypatch.setattr(identities, "_G", [])  # restored afterwards
+    for descriptor in list_identities():
+        report = verify_range(descriptor.id, descriptor.n_lo, 500)
+        assert report.ok is (descriptor.id not in PRINTED_MISMATCHES), descriptor.id
+    assert identities._G == []
+    for stepper in STEPPERS:
+        assert set(vars(stepper)) == {"first", "step", "seed", "state"}
+        last, window = stepper.state
+        assert last >= 500 and len(window) == len(stepper.seed[1])
 
 
 def test_printed_record_flags():

@@ -9,7 +9,7 @@ from hexdomino import (
     pow2,
     tetranacci,
 )
-from hexdomino.sequences import fibonacci_terms, tetranacci_terms
+from hexdomino.sequences import tetranacci_terms
 
 TABLE = [1, 1, 2, 4, 8, 15, 29, 56, 108, 208, 401]
 
@@ -39,7 +39,7 @@ def test_tetranacci_pinned_deep_values():
     assert tetranacci(200) % 10**9 == tetranacci(200) - (tetranacci(200) // 10**9) * 10**9
 
 
-# (start, stop, step): ascending, stepped, descending to T(-1) / f(0), empty
+# (start, stop, step): ascending, stepped, descending to T(-1) or T(0), empty
 TERM_RANGES = [
     (0, 11, 1),
     (4, 40, 3),
@@ -58,8 +58,6 @@ TERM_RANGES = [
 def test_terms_accessors_match_scalar_calls(start, stop, step):
     indices = range(start, stop, step)
     assert tetranacci_terms(start, stop, step) == [tetranacci(i) for i in indices]
-    if stop >= -1 or step > 0:  # f has no f(-1)
-        assert fibonacci_terms(start, stop, step) == [fibonacci_comb(i) for i in indices]
 
 
 def test_terms_accessors_reject_indices_below_the_floor():
@@ -67,12 +65,8 @@ def test_terms_accessors_reject_indices_below_the_floor():
         tetranacci_terms(3, -3, -1)
     with pytest.raises(ValueError, match="got -2"):
         tetranacci_terms(-2, 4)
-    with pytest.raises(ValueError, match="fibonacci_comb index must be >= 0, got -1"):
-        fibonacci_terms(2, -2, -1)
-    with pytest.raises(ValueError, match="got -1"):
-        fibonacci_terms(-1, 4, 2)
     # an empty range names no index at all
-    assert tetranacci_terms(-5, -5) == [] and fibonacci_terms(-1, -3) == []
+    assert tetranacci_terms(-5, -5) == []
 
 
 def test_fibonacci_convention_starts_one_one():
