@@ -23,7 +23,7 @@ _ORIGIN = {
     "BREAKABLE": "enumerator",
     "CLASS_PRESETS": "enumerator",
     "CORRECTED_VARIANT": "identities",
-    "CapExceeded": "enumerator",
+    "CapExceeded": "sequences",
     "CrossingDescriptor": "enumerator",
     "DOMINO_CLASSES": "strip_model",
     "HIGH_HORIZONTAL": "enumerator",
@@ -60,7 +60,7 @@ _ORIGIN = {
     "lemma3_from_single": "correspondences",
     "lemma3_to_single": "correspondences",
     "list_identities": "identities",
-    "max_cells": "enumerator",
+    "max_cells": "sequences",
     "parse_tokens": "strip_model",
     "partition_by_first": "enumerator",
     "pow2": "sequences",

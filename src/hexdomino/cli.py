@@ -1,11 +1,13 @@
 """Command-line front end: counting, enumeration, rendering, verification.
 
-Exit codes: 0 on success, 1 on usage/parse/cap errors, 2 when a verification
-command ran but found a mismatch, 130 when interrupted.  Identical invocations
-print byte-identical output; machine output is JSONL with compact separators.
+Exit codes: 0 on success, 1 on usage, parse, cap and out-of-memory errors, 2
+when a verification command ran but found a mismatch, 130 when interrupted.
+Identical invocations print byte-identical output; machine output is JSONL
+with compact separators.
 
 Each handler imports the layers it runs, so a process loads only those:
-`count` and `sequences` need nothing beyond `sequences`.
+`count` and `sequences` load `sequences` alone, closed `verify` adds
+`identities`, and only enumerating commands load the tile geometry.
 """
 from __future__ import annotations
 
@@ -15,7 +17,14 @@ import sys
 from collections.abc import Iterable, Sequence
 from itertools import islice
 
-from .sequences import PRESET_NAMES, closed_count, fibonacci_comb, tetranacci
+from .sequences import (
+    PRESET_NAMES,
+    CapExceeded,
+    closed_count,
+    fibonacci_comb,
+    max_cells,
+    tetranacci,
+)
 
 
 # Bulk output goes out in blocks of this many lines, one `write` per block.
@@ -74,10 +83,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # identities first: without a bytecode cache, compiling the largest module
-    # before the layers it imports keeps peak RSS about 0.4 MB lower.
     from .identities import get_identity, list_identities
-    from .enumerator import max_cells
 
     cap = max_cells()  # a malformed cap setting fails every verify run, closed mode too
     if args.identity == "all":
@@ -248,10 +254,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError) as exc:
-        # CapExceeded is a ValueError that only an enumerating command raises;
-        # the enumerator is imported here, on the error path, not at start-up.
-        from .enumerator import CapExceeded
-
         label = "cap exceeded" if isinstance(exc, CapExceeded) else "error"
         print(f"{label}: {exc}", file=sys.stderr)
         return 1

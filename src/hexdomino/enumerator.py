@@ -23,12 +23,12 @@ table the same way to rank tilings in the walk's order.
 """
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache, lru_cache
 from itertools import chain, repeat
 
+from .sequences import CapExceeded, max_cells
 from .strip_model import (
     ALL_CLASSES,
     HORIZONTAL,
@@ -40,8 +40,6 @@ from .strip_model import (
     tile_at,
 )
 
-DEFAULT_MAX_CELLS = 24
-MAX_CELLS_ENV = "HEXDOMINO_MAX_N"
 _SHARED_FINISHES = 256  # most finishes `_walk` builds and shares; bounds its memory
 
 CLASS_PRESETS: dict[str, frozenset[str]] = {
@@ -53,24 +51,6 @@ CLASS_PRESETS: dict[str, frozenset[str]] = {
 
 # One object per (location, kind), so each tile's cells and token are built once.
 _tile = cache(Tile)
-
-
-class CapExceeded(ValueError):
-    """Raised when an enumeration request exceeds the configured cell cap."""
-
-
-def max_cells() -> int:
-    """Enumeration cap in cells; override with the HEXDOMINO_MAX_N variable."""
-    raw = os.environ.get(MAX_CELLS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_CELLS
-    try:
-        cap = int(raw)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise ValueError(f"{MAX_CELLS_ENV} must be a non-negative integer, got {raw!r}")
 
 
 def _check_size(n: int) -> None:

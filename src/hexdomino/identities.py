@@ -25,30 +25,15 @@ from collections import namedtuple
 from collections.abc import Callable
 from operator import mul
 
-from .enumerator import (
-    CLASS_PRESETS,
-    CapExceeded,
-    count_by_enumeration,
-    histogram_by_descriptor,
-    last_tile_group,
-    max_cells,
-    partition_by_first,
-    tally_by_window,
-)
 from .sequences import (
+    CapExceeded,
     _terms,
     closed_count,
     fibonacci_comb as fib,
+    max_cells,
     pow2,
     tetranacci as tet,
     tetranacci_terms as tet_terms,
-)
-from .strip_model import (
-    DOMINO_CLASSES,
-    HORIZONTAL,
-    LEFT_INCLINED,
-    RIGHT_INCLINED,
-    SQUARE,
 )
 
 PAPER_STATED = "paper-stated"
@@ -159,8 +144,11 @@ class IdentityRecord(namedtuple(
         """JSONL record; counts are decimal strings (they outgrow doubles).  Ids, modes
         and group keys (`absent`, `missing`, `duplicated`, locations, crossing keys such
         as `low-horizontal:square`) are plain ASCII that JSON leaves unescaped."""
+        ok = self.lhs == self.rhs
         line = '{"id":"%s","n":%d,"lhs":"%d","rhs":"%d","equal":%s,"mode":"%s"' % (
-            self.id, self.n, self.lhs, self.rhs, _JSON_BOOL[self.equal], self.mode)
+            self.id, self.n, self.lhs, self.rhs, _JSON_BOOL[ok], self.mode)
+        if self.oracle_total is not None or self.groups is not None:
+            ok = ok and self.checks_ok
         if self.oracle_total is not None:
             line += ',"oracle_total":"%d"' % self.oracle_total
         if self.groups is not None:
@@ -169,7 +157,7 @@ class IdentityRecord(namedtuple(
                 % (g.key, g.expected, g.observed, _JSON_BOOL[g.match])
                 for g in self.groups
             )
-        return line + ',"ok":%s}' % _JSON_BOOL[self.ok]
+        return line + ',"ok":%s}' % _JSON_BOOL[ok]
 
     def to_json_dict(self) -> dict:
         """The line `to_json_line` builds, parsed."""
@@ -185,31 +173,33 @@ class VerificationReport(namedtuple("VerificationReport", "id mode records")):
         return all(r.ok for r in self.records)
 
 
-# --- oracle builders ---------------------------------------------------------
+# --- oracle builders: each runner imports what it walks when it runs ---------
 
 def _partition_oracle(strip_length, classes) -> Callable[[int], OracleOutcome]:
     def runner(n: int) -> OracleOutcome:
+        from .enumerator import partition_by_first
         raw = partition_by_first(strip_length(n), classes)
         groups = {ABSENT if k is None else str(k): v for k, v in raw.items()}
-        total = sum(v for k, v in raw.items() if k is not None)
+        total = sum(raw.values()) - raw.get(None, 0)
         return OracleOutcome(total=total, groups=groups)
     return runner
 
 
-def _count_oracle(strip_length, classes) -> Callable[[int], OracleOutcome]:
+def _count_oracle(strip_length, preset) -> Callable[[int], OracleOutcome]:
     def runner(n: int) -> OracleOutcome:
-        return OracleOutcome(total=count_by_enumeration(strip_length(n), classes))
+        from .enumerator import CLASS_PRESETS, count_by_enumeration
+        return OracleOutcome(total=count_by_enumeration(strip_length(n), CLASS_PRESETS[preset]))
     return runner
 
 
 def _thm1_oracle(n: int) -> OracleOutcome:
+    from .enumerator import last_tile_group, tally_by_window
     groups = tally_by_window(n, n - 1, n, last_tile_group)
     return OracleOutcome(total=sum(groups.values()), groups=groups)
 
 
 def _thm2_oracle(n: int) -> OracleOutcome:
-    from .correspondences import thm2_window_cover  # the only user; loaded on demand
-
+    from .correspondences import thm2_window_cover
     by_length, missing, duplicated = thm2_window_cover(n)
     groups = {str(k): by_length.get(k, 0) for k in (n, n - 5)}
     groups.update(missing=missing, duplicated=duplicated)
@@ -217,7 +207,8 @@ def _thm2_oracle(n: int) -> OracleOutcome:
 
 
 def _thm3_oracle(n: int) -> OracleOutcome:
-    groups = {descriptor.key: count for descriptor, count in histogram_by_descriptor(n).items()}
+    from .enumerator import histogram_by_descriptor
+    groups = {d.key: count for d, count in histogram_by_descriptor(n).items()}
     return OracleOutcome(total=sum(groups.values()), groups=groups)
 
 
@@ -337,8 +328,8 @@ _thm7_sum = _Stepper(0, (0, 0, 0), lambda n, s: s[-1] + s[-2] + tet(n - 3) + tet
 _even_j = _Stepper(0, (0, 0, 1, 1, 3, 5), lambda L, s: _f_products(s) + tet(L - 2) - tet(L - 4))
 _odd_j = _Stepper(0, (0, 0, 0, 1, 1, 4), lambda L, s: _f_products(s) + tet(L - 3))
 
-_HORIZONTAL_OR_LEFT = frozenset({HORIZONTAL, LEFT_INCLINED})
-_INCLINED = frozenset({RIGHT_INCLINED, LEFT_INCLINED})
+# strip_model's class names; closed mode does not load it
+_INCLINED = ("right-inclined", "left-inclined")
 
 
 def _build_registry() -> tuple[IdentityDescriptor, ...]:
@@ -384,7 +375,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=same,
             lhs=lambda n: tet(n) - 1,
             rhs=lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * _thm4_prefix(n),
-            oracle=_partition_oracle(same, DOMINO_CLASSES),
+            oracle=_partition_oracle(same, (*_INCLINED, "horizontal")),
             partition_expected=_thm4_expected,
         ),
         IdentityDescriptor(
@@ -394,7 +385,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=even,
             lhs=lambda n: closed_count("squares-right", 2 * n),
             rhs=lambda n: pow2(n),
-            oracle=_count_oracle(even, CLASS_PRESETS["squares-right"]),
+            oracle=_count_oracle(even, "squares-right"),
         ),
         IdentityDescriptor(
             id="thm5_printed",
@@ -403,7 +394,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=even,
             lhs=lambda n: tet(2 * n) - pow2(n),
             rhs=lambda n: 2 * tet(n - 3) + _thm5_tail(n),
-            oracle=_partition_oracle(even, _HORIZONTAL_OR_LEFT),
+            oracle=_partition_oracle(even, ("horizontal", "left-inclined")),
         ),
         IdentityDescriptor(
             id="thm5_corrected",
@@ -412,7 +403,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=even,
             lhs=lambda n: tet(2 * n) - pow2(n),
             rhs=lambda n: 2 * tet(2 * n - 3) + _thm5_tail(n),
-            oracle=_partition_oracle(even, _HORIZONTAL_OR_LEFT),
+            oracle=_partition_oracle(even, ("horizontal", "left-inclined")),
             partition_expected=_thm5_expected,
         ),
         IdentityDescriptor(
@@ -422,7 +413,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=same,
             lhs=lambda n: closed_count("no-horizontal", n),
             rhs=lambda n: fib(n),
-            oracle=_count_oracle(same, CLASS_PRESETS["no-horizontal"]),
+            oracle=_count_oracle(same, "no-horizontal"),
         ),
         IdentityDescriptor(
             id="lemma3",
@@ -431,7 +422,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=even,
             lhs=lambda n: closed_count("no-squares", 2 * n),
             rhs=lambda n: fib(n),
-            oracle=_count_oracle(even, CLASS_PRESETS["no-squares"]),
+            oracle=_count_oracle(even, "no-squares"),
         ),
         IdentityDescriptor(
             id="thm6",
@@ -440,7 +431,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=even,
             lhs=lambda n: tet(2 * n) - fib(n),
             rhs=_thm6_sum,
-            oracle=_partition_oracle(even, frozenset({SQUARE})),
+            oracle=_partition_oracle(even, ("square",)),
             partition_expected=_thm6_expected,
         ),
         IdentityDescriptor(
@@ -450,7 +441,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             strip_length=same,
             lhs=lambda n: tet(n) - fib(n),
             rhs=_thm7_sum,
-            oracle=_partition_oracle(same, frozenset({HORIZONTAL})),
+            oracle=_partition_oracle(same, ("horizontal",)),
             partition_expected=_thm7_expected,
         ),
         IdentityDescriptor(

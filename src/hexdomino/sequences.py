@@ -8,30 +8,60 @@ single strip under the convention f_0 = f_1 = 1.
 The memo tables are append-only: a slot, once written, never changes, so a
 slice of a memo never goes stale.  `tetranacci_terms` returns such a slice,
 and a list of closed-form terms runs as one `map(mul, ...)` over slices instead
-of one call per term.
+of one call per term.  A memo never grows past physical memory: T_0..T_i hold
+at least 0.059 i^2 bytes (T_i has 0.947 i bits) and f_0..f_i 0.043 i^2, so a
+larger index raises MemoryError up front.  The enumeration cap is read here
+too, so closed `verify` loads no enumerator.
 """
 from __future__ import annotations
+
+import os
 
 # The enumerator's CLASS_PRESETS names, in sorted order; `closed_count` takes
 # one, and the CLI offers them as --classes without importing the enumerator.
 PRESET_NAMES = ("all", "no-horizontal", "no-squares", "squares-right")
+DEFAULT_MAX_CELLS = 24
+MAX_CELLS_ENV = "HEXDOMINO_MAX_N"
+_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")  # bytes
 
 _T: list[int] = [0, 1, 1, 2, 4]  # _T[i + 1] == T_i, starting at T_{-1} = 0
 _F: list[int] = [1, 1]           # _F[i] == f_i
 
 
+class CapExceeded(ValueError):
+    """Raised when an enumeration request exceeds the configured cell cap."""
+
+
+def max_cells() -> int:
+    """Enumeration cap in cells; override with the HEXDOMINO_MAX_N variable."""
+    raw = os.environ.get(MAX_CELLS_ENV)
+    if raw is None:
+        return DEFAULT_MAX_CELLS
+    try:
+        cap = int(raw)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"{MAX_CELLS_ENV} must be a non-negative integer, got {raw!r}")
+
+
 def _grow_tetranacci(i: int) -> None:
-    """Reject an index below T_{-1}; otherwise extend the memo through T_i."""
+    """Reject an index below T_{-1} or past memory; otherwise extend the memo through T_i."""
     if i < -1:
         raise ValueError(f"tetranacci index must be >= -1, got {i}")
+    if 59 * i * i > 1000 * _MEMORY:
+        raise MemoryError(f"T_0..T_{i} need more than the {_MEMORY} bytes of memory")
     while i + 1 >= len(_T):
         _T.append(_T[-1] + _T[-2] + _T[-3] + _T[-4])
 
 
 def _grow_fibonacci(i: int) -> None:
-    """Reject an index below f_0; otherwise extend the memo through f_i."""
+    """Reject an index below f_0 or past memory; otherwise extend the memo through f_i."""
     if i < 0:
         raise ValueError(f"fibonacci_comb index must be >= 0, got {i}")
+    if 43 * i * i > 1000 * _MEMORY:
+        raise MemoryError(f"f_0..f_{i} need more than the {_MEMORY} bytes of memory")
     while i >= len(_F):
         _F.append(_F[-1] + _F[-2])
 
@@ -50,7 +80,8 @@ def _terms(memo: list[int], offset: int, grow, indices: range) -> list[int]:
 
 def tetranacci(i: int) -> int:
     """T_i for i >= -1: T_{-1}=0, T_0=T_1=1, T_2=2, T_3=4, then the 4-term sum."""
-    _grow_tetranacci(i)
+    if not -1 <= i < len(_T) - 1:  # a memo hit costs no second call
+        _grow_tetranacci(i)
     return _T[i + 1]
 
 
@@ -61,7 +92,8 @@ def tetranacci_terms(start: int, stop: int, step: int = 1) -> list[int]:
 
 def fibonacci_comb(i: int) -> int:
     """f_i for i >= 0 under the tiling convention f_0 = f_1 = 1."""
-    _grow_fibonacci(i)
+    if not 0 <= i < len(_F):
+        _grow_fibonacci(i)
     return _F[i]
 
 

@@ -10,6 +10,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import hexdomino
 from hexdomino import identities, tetranacci
 from hexdomino.cli import main
@@ -622,6 +624,25 @@ def test_out_of_memory_is_a_one_line_error():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "99999999999999999999"),
+    ("verify", "--identity", "thm8", "--from", "1000000", "--to", "1000000"),
+])
+def test_a_memo_past_physical_memory_fails_before_growing(argv):
+    # T(10^20), and thm8's T(2,000,000) at about 236 GB, are refused before the
+    # memo grows a term, so the run ends at once and small
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    started = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCH, "-m", "hexdomino", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    code, peak_kb = map(int, result.stdout.split())
+    assert (code, result.stderr) == (1, "error: out of memory\n")
+    assert time.monotonic() - started < 10
+    assert peak_kb < 100 * 1024
 
 
 def test_overflow_is_a_one_line_error(capsys, monkeypatch):

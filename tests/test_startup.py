@@ -69,6 +69,46 @@ def test_verify_without_thm2_skips_correspondences(argv):
     assert "hexdomino.correspondences" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "all", "--from", "0", "--to", "8", "--expect-mismatch"),
+    ("verify", "--identity", "thm4", "--from", "5", "--to", "7"),
+])
+def test_closed_verify_loads_only_sequences_and_identities(argv):
+    assert loaded_modules(*argv) == SEQUENCES_ONLY | {"hexdomino.identities"}
+
+
+@pytest.mark.parametrize("identity", ["all", "thm4"])
+def test_oracle_verify_loads_the_enumerator(identity):
+    loaded = loaded_modules("verify", "--identity", identity, "--mode", "oracle",
+                            "--from", "5", "--to", "5", "--expect-mismatch")
+    assert {"hexdomino.enumerator", "hexdomino.strip_model"} <= loaded
+
+
+def test_the_enumerator_reexports_the_cap_from_sequences():
+    from hexdomino import enumerator, sequences
+
+    assert enumerator.max_cells is sequences.max_cells
+    assert enumerator.CapExceeded is sequences.CapExceeded
+
+
+def test_identities_spell_strip_models_class_names():
+    # The registry names tile classes and presets without importing them; read
+    # each oracle's closure for the names it passes to the enumerator.
+    from hexdomino import identities, strip_model
+
+    assert set(identities._INCLINED) == {strip_model.RIGHT_INCLINED, strip_model.LEFT_INCLINED}
+    classes, presets = set(), set()
+    for descriptor in identities.list_identities():
+        for cell in descriptor.oracle.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, tuple):
+                classes.update(value)
+            elif isinstance(value, str):
+                presets.add(value)
+    assert classes == strip_model.ALL_CLASSES
+    assert presets == {"squares-right", "no-horizontal", "no-squares"} < set(CLASS_PRESETS)
+
+
 def test_thm2_oracle_loads_correspondences():
     argv = ("verify", "--identity", "thm2_num", "--mode", "oracle", "--from", "6", "--to", "6")
     assert "hexdomino.correspondences" in loaded_modules(*argv)
