@@ -14,12 +14,14 @@ by frontier cell, kept for the process, and four consumers share it.
 share its finishes, built once, so it walks only the early cells and yields
 each path there before every finish.  `enumerate_tilings` walks the tiles;
 `_token_lines` walks a copy holding each move's tokens as text, so the CLI's
-`enumerate` builds no tiling and joins no tokens.  Counts, partitions and
-window tallies fold the table backward over the frontier cells (the
-transfer-matrix method), each with its own per-path carry, so their cost
-grows with n rather than with the number of tilings, and they never consult
-the Tetranacci recurrence they are used to check.  `CanonicalRank` folds the
-table the same way to rank tilings in the walk's order.
+`enumerate` builds no tiling and joins no tokens.  Counting never lists a
+path: `_ways` counts the paths from every cell to the end in one backward pass
+over the table (the transfer-matrix method), `count_by_enumeration` and
+`CanonicalRank` read it, and `partition_by_first` splits every path at its
+first tracked tile with one forward pass over tracked-free moves.  Only
+`tally_by_window` keys its backward pass by more than a count.  So their cost
+grows with n rather than with the number of tilings, and none of them
+consults the Tetranacci recurrence it is used to check.
 """
 from __future__ import annotations
 
@@ -154,72 +156,73 @@ def _walk(table: dict, n: int, head, tail) -> Iterator:
     return chain.from_iterable(blocks())
 
 
-def _fold(n: int, allowed: frozenset[str], start, carry) -> dict:
-    """Count the tilings built from `allowed` tiles, grouped by a per-path key.
-
-    Folds backward over the `_transitions` table, c = n down to 1: each cell
-    maps to {key of the rest of the tiling: ways to finish}, the empty rest
-    (c = n + 1) keyed `start`.  `carry(tile, groups)` returns that dict for
-    `tile` placed before a rest with `groups`; it is applied to a move's tiles
-    from the last one down, so it always sees the tiles above `tile`.
-    """
-    done: dict[int, dict] = {n + 1: {start: 1}}
-    for c, moves in _transitions(n, allowed).items():
-        groups: dict = {}
-        for tiles, next_c in moves:
-            rest = done[next_c]
-            for tile in reversed(tiles):
-                rest = carry(tile, rest)
-            for key, count in rest.items():
-                groups[key] = groups.get(key, 0) + count
-        done[c] = groups
-    return done[1]
+def _ways(table: dict, n: int) -> dict[int, int]:
+    """{c: the paths through `table` from frontier cell c to the end}, ways[n + 1] = 1,
+    by one backward pass: each cell sums the ways of its moves' next cells."""
+    ways = {n + 1: 1}
+    for c, moves in table.items():
+        ways[c] = sum(ways[next_c] for _, next_c in moves)
+    return ways
 
 
 def count_by_enumeration(n: int, classes=ALL_CLASSES) -> int:
-    """Number of tilings, by a backward fold over the frontier moves.
+    """Number of tilings, by one backward pass of path counts over the frontier moves.
 
-    The fold derives every count from tile geometry alone, never from the
+    The pass derives every count from tile geometry alone, never from the
     Tetranacci recurrence, so it stays an independent oracle for it.
     """
     _check_size(n)
-    return sum(_fold(n, _class_set(classes), None, lambda tile, groups: groups).values())
+    return _ways(_transitions(n, _class_set(classes)), n)[1]
 
 
 def partition_by_first(n: int, classes) -> dict[int | None, int]:
     """Group all tilings of the n-cell strip by the first tile of given classes.
 
-    Keys are the minimal location of a tile whose class lies in `classes`, or
-    None when no such tile occurs.  Counts sum to the unrestricted total.
-    The fold puts each tile before a rest that holds only tiles above it, so
-    a tracked tile becomes the first one of every rest it joins.
+    Keys are the minimal location of a tile whose class lies in `classes`,
+    ascending, then None when some tiling holds no such tile.  Counts sum to
+    the unrestricted total.  A path splits at its first move holding a tracked
+    tile (first passage: Stanley, Enumerative Combinatorics I, 4.7), so one
+    forward pass counts the tracked-free paths reaching each cell c, and such
+    a move adds reach[c] * ways[next_c] to the group of its lowest tracked tile.
     """
     _check_size(n)
     tracked = _class_set(classes)
-
-    def carry(tile: Tile, groups: dict) -> dict:
-        if tile.tile_class not in tracked:
-            return groups
-        return {tile.location: sum(groups.values())}
-
-    return _fold(n, ALL_CLASSES, None, carry)
+    table = _transitions(n, ALL_CLASSES)
+    ways, reach, groups = _ways(table, n), [0, 1] + [0] * n, {}
+    for c in range(1, n + 1):
+        if not (paths := reach[c]):
+            continue
+        for tiles, next_c in table[c]:
+            first = next((tile.location for tile in tiles if tile.tile_class in tracked), None)
+            if first is None:
+                reach[next_c] += paths
+            else:
+                groups[first] = groups.get(first, 0) + paths * ways[next_c]
+    if reach[n + 1]:
+        groups[None] = reach[n + 1]
+    return groups
 
 
 def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
     """Count the tilings of the n-cell strip by `classify` of their window.
 
     A window is Tiling(n, ...) holding only the tiles located in lo..hi, so
-    `classify` must read nothing else; it runs once per distinct window.
+    `classify` must read nothing else; it runs once per distinct window.  A
+    backward pass maps each frontier cell to {window of a finish: its count},
+    prefixing each move's own tiles in lo..hi to the windows of its next cell.
     """
     _check_size(n)
-
-    def carry(tile: Tile, groups: dict) -> dict:
-        if not lo <= tile.location <= hi:
-            return groups
-        return {(tile, *window): count for window, count in groups.items()}
-
+    rests: dict[int, dict] = {n + 1: {(): 1}}
+    for c, moves in _transitions(n, ALL_CLASSES).items():
+        windows: dict = {}
+        for tiles, next_c in moves:
+            own = tuple(tile for tile in tiles if lo <= tile.location <= hi)
+            for rest, count in rests[next_c].items():
+                window = own + rest
+                windows[window] = windows.get(window, 0) + count
+        rests[c] = windows
     tally: dict = {}
-    for window, count in _fold(n, ALL_CLASSES, (), carry).items():
+    for window, count in rests[1].items():
         key = classify(Tiling(n, window))
         tally[key] = tally.get(key, 0) + count
     return tally
@@ -231,26 +234,26 @@ class CanonicalRank:
     The walk tries each frontier cell's moves in order, so a tiling's rank is
     the sum, over its moves, of the ways to finish after each move tried before
     it (ranking by counting: Nijenhuis & Wilf, Combinatorial Algorithms, 1978).
-    One backward fold over the `_transitions` table counts the ways to finish
-    from every cell, as `_fold` does, never from the Tetranacci recurrence,
-    and sums them once per move into a weight table per cell, keyed by the
-    move's first token.  A move's tiles ascend and end just below its next
-    cell, so `rank` reads the next cell off each tile's location; a move's
-    second tile is looked up at the cell after its first, where no move
-    starts with it, and adds 0.
+    `_ways` counts the ways to finish from every cell of the `_transitions`
+    table, never from the Tetranacci recurrence, and they are summed once per
+    move into a weight table per cell, keyed by the move's first token.  A
+    move's tiles ascend and end just below its next cell, so `rank` reads the
+    next cell off each tile's location; a move's second tile is looked up at
+    the cell after its first, where no move starts with it, and adds 0.
     Neither the cap nor `validate` is consulted: `rank` reads valid tilings only.
     The walk yields tilings in rank order, so it names the tiling at a rank.
     """
 
     def __init__(self, n: int) -> None:
-        ways = {n + 1: 1}
+        table = _transitions(n, ALL_CLASSES)
+        ways = _ways(table, n)
         self._weights: dict[int, dict[str, int]] = {}
-        for c, moves in _transitions(n, ALL_CLASSES).items():
+        for c, moves in table.items():
             weights, tried = {}, 0
             for tiles, next_c in moves:
                 weights[tiles[0].token] = tried
                 tried += ways[next_c]
-            self._weights[c], ways[c] = weights, tried
+            self._weights[c] = weights
         self.total = ways[1]
 
     def rank(self, tiles: tuple[Tile, ...]) -> int:

@@ -5,11 +5,13 @@ expression in Tetranacci and Fibonacci numbers (the right side).  Closed mode
 compares the two evaluators; the left sides of the restricted-family lemmas
 read `sequences.closed_count`, the table `hexdomino count --classes` prints,
 so closed mode checks that table against the paper's 2^n and f(n).  Oracle
-mode recomputes the left side from tile geometry, by the enumerator's frontier
-fold (thm2_num maps one tiling per last-tile window of its inputs) and, where the
-defining argument conditions on a tile (first domino, first square, last tile,
-crossing of the middle diagonal, ...), checks every conditioning group against
-its closed-form term; the fold's per-path carry holds the conditioning key.
+mode recomputes the left side from tile geometry, by the enumerator's passes
+over its frontier moves (thm2_num maps one tiling per last-tile window of its
+inputs) and, where the defining argument conditions on a tile (first domino,
+first square, last tile, crossing of the middle diagonal, ...), checks every
+conditioning group against its closed-form term: a first-tile group by first
+passage, reach times ways at the move holding that tile, and a last-tile or
+crossing group by the window of tiles it reads.
 
 Two entries carry a printed right side that does not equal the left side at
 any valid n: the 2^n-complement identity's first term (printed 2T(n-3), which
@@ -23,17 +25,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
-from operator import mul
 
 from .sequences import (
     CapExceeded,
-    _terms,
     closed_count,
     fibonacci_comb as fib,
     max_cells,
     pow2,
     tetranacci as tet,
-    tetranacci_terms as tet_terms,
 )
 
 PAPER_STATED = "paper-stated"
@@ -279,21 +278,13 @@ def _thm7_expected(n: int) -> dict[str, int]:
     return groups
 
 
-_G: list[int] = []  # _G[j - 2] == g(j), append-only like the sequence memos
-
-
-def _grow_weights(j: int) -> None:
-    """Extend _G through g(j) = f(floor(j/2)-1) f(ceil(j/2)-1), the tilings of the
-    cells before a first inclined tile at location j >= 2."""
-    while j >= len(_G) + 2:
-        _G.append(fib(len(_G) // 2) * fib((len(_G) + 1) // 2))
-
-
 def _first_inclined_expected(length: int, absent: int) -> dict[str, int]:
-    """g(j) T(length-j) for j = 2..length: the tilings whose first inclined tile is at j."""
-    weights = _terms(_G, -2, _grow_weights, range(2, length + 1))  # a slice of the memo
-    located = map(mul, weights, tet_terms(length - 2, -1, -1))
-    return {ABSENT: absent, **dict(zip(map(str, range(2, length + 1)), located))}
+    """g(j) T(length-j) for j = 2..length: the tilings whose first inclined tile is at j,
+    where g(j) = f(floor(j/2)-1) f(ceil(j/2)-1) counts the tilings of the cells before it."""
+    return {ABSENT: absent, **{
+        str(j): fib(j // 2 - 1) * fib((j + 1) // 2 - 1) * tet(length - j)
+        for j in range(2, length + 1)
+    }}
 
 
 # --- right sides ---------------------------------------------------------------

@@ -5,13 +5,11 @@ sequence T counts tilings of the n-cell hexagonal double-strip; the
 combinatorial Fibonacci sequence f counts square/domino tilings of an n-cell
 single strip under the convention f_0 = f_1 = 1.
 
-The memo tables are append-only: a slot, once written, never changes, so a
-slice of a memo never goes stale.  `tetranacci_terms` returns such a slice,
-and a list of closed-form terms runs as one `map(mul, ...)` over slices instead
-of one call per term.  A memo never grows past physical memory: T_0..T_i hold
-at least 0.059 i^2 bytes (T_i has 0.947 i bits) and f_0..f_i 0.043 i^2, so a
-larger index raises MemoryError up front.  The enumeration cap is read here
-too, so closed `verify` loads no enumerator.
+The memo tables are append-only: a slot, once written, never changes.  A memo
+never grows past physical memory: T_0..T_i hold at least 0.059 i^2 bytes (T_i
+has 0.947 i bits) and f_0..f_i 0.043 i^2, so a larger index raises MemoryError
+up front.  The enumeration cap is read here too, so closed `verify` loads no
+enumerator.
 """
 from __future__ import annotations
 
@@ -66,28 +64,11 @@ def _grow_fibonacci(i: int) -> None:
         _F.append(_F[-1] + _F[-2])
 
 
-def _terms(memo: list[int], offset: int, grow, indices: range) -> list[int]:
-    """memo[i + offset] for i in indices, as one slice, after `grow` checks both ends."""
-    if not indices:
-        return []
-    first, last = indices[0], indices[-1]
-    grow(min(first, last))
-    grow(max(first, last))
-    stop = last + offset + (1 if indices.step > 0 else -1)
-    # A descending range that ends at slot 0 has no stop index to name.
-    return memo[first + offset : stop if stop >= 0 else None : indices.step]
-
-
 def tetranacci(i: int) -> int:
     """T_i for i >= -1: T_{-1}=0, T_0=T_1=1, T_2=2, T_3=4, then the 4-term sum."""
     if not -1 <= i < len(_T) - 1:  # a memo hit costs no second call
         _grow_tetranacci(i)
     return _T[i + 1]
-
-
-def tetranacci_terms(start: int, stop: int, step: int = 1) -> list[int]:
-    """[tetranacci(i) for i in range(start, stop, step)], sliced from the memo."""
-    return _terms(_T, 1, _grow_tetranacci, range(start, stop, step))
 
 
 def fibonacci_comb(i: int) -> int:

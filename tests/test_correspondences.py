@@ -197,7 +197,7 @@ def test_thm2_verify_by_rank_matches_a_string_key_tally(monkeypatch):
         raise AssertionError("the cover check must not read the recurrence")
 
     monkeypatch.setattr(correspondences, "validate", counted_validate)
-    for name in ("tetranacci", "tetranacci_terms"):
+    for name in ("tetranacci",):
         original = getattr(sequences, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("hexdomino"):

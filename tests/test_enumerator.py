@@ -260,6 +260,64 @@ def test_walk_fold_and_rank_share_one_move_table():
     assert (info.misses, info.hits) == (2, 2)
 
 
+def reference_fold(n, allowed, start, carry):
+    """The per-path-carry fold the count and partition passes replaced, kept as
+    their reference: each frontier cell maps to {key of a finish: its count},
+    and `carry(tile, groups)` rekeys a finish's groups for a tile placed before it."""
+    done = {n + 1: {start: 1}}
+    for c, moves in _transitions(n, allowed).items():
+        groups = {}
+        for tiles, next_c in moves:
+            rest = done[next_c]
+            for tile in reversed(tiles):
+                rest = carry(tile, rest)
+            for key, count in rest.items():
+                groups[key] = groups.get(key, 0) + count
+        done[c] = groups
+    return done[1]
+
+
+def reference_partition(n, tracked):
+    def carry(tile, groups):
+        return {tile.location: sum(groups.values())} if tile.tile_class in tracked else groups
+
+    return reference_fold(n, ALL_CLASSES, None, carry)
+
+
+def reference_windows(n, lo, hi):
+    def carry(tile, groups):
+        if not lo <= tile.location <= hi:
+            return groups
+        return {(tile, *window): count for window, count in groups.items()}
+
+    return reference_fold(n, ALL_CLASSES, (), carry)
+
+
+def assert_passes_equal_the_reference_fold(n):
+    for classes in CLASS_SETS:
+        groups = partition_by_first(n, classes)
+        assert groups == reference_partition(n, classes), (sorted(classes), n)
+        located = [key for key in groups if key is not None]
+        assert list(groups) == sorted(located) + [None] * (None in groups), (sorted(classes), n)
+        counted = sum(reference_fold(n, classes, None, lambda tile, groups: groups).values())
+        assert count_by_enumeration(n, classes) == counted, (sorted(classes), n)
+    for lo, hi in ((n - 1, n), (n // 2, n // 2 + 3)):
+        windows = enumerator.tally_by_window(n, lo, hi, lambda tiling: tiling.tiles)
+        assert windows == reference_windows(n, lo, hi), (n, lo, hi)
+
+
+def test_count_partition_and_window_passes_equal_the_reference_fold(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "39")
+    for n in range(40):
+        assert_passes_equal_the_reference_fold(n)
+
+
+@pytest.mark.parametrize("n", [499, 500, 501])
+def test_passes_equal_the_reference_fold_on_long_strips(monkeypatch, n):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "501")
+    assert_passes_equal_the_reference_fold(n)
+
+
 def test_deep_strips_fold_without_recursion(monkeypatch):
     # far beyond the interpreter's recursion limit of about 1000 frames
     monkeypatch.setenv("HEXDOMINO_MAX_N", "1500")

@@ -24,7 +24,6 @@ from hexdomino import (
 from hexdomino import identities
 from hexdomino.enumerator import last_tile_group
 from hexdomino.identities import ABSENT, GroupCheck, IdentityRecord
-from hexdomino.sequences import tetranacci_terms as tet_terms
 
 REGISTRY_ORDER = [
     "thm1",
@@ -82,7 +81,7 @@ PRINTED_MISMATCHES = {"thm5_printed", "thm8c_printed"}
 
 
 # Reference evaluators: each identity's two sides as stated, one scalar call
-# per term, so the registry's slice offsets are checked against the paper.
+# per term, so the registry's term offsets are checked against the paper.
 def _thm5_terms(n, first):
     return (
         first
@@ -226,21 +225,19 @@ def test_partition_terms_add_up_to_the_closed_form_past_the_cap():
                 assert located == descriptor.rhs(n), (descriptor.id, n)
 
 
-def test_first_inclined_weight_memo_is_append_only(monkeypatch):
-    # The memo serves the oracle's expected first-inclined groups, g(j) T(length-j).
-    monkeypatch.setattr(identities, "_G", [])  # a fresh memo, restored afterwards
-    identities._grow_weights(40)
-    early = list(identities._G)
-    assert early == [fib(j // 2 - 1) * fib((j + 1) // 2 - 1) for j in range(2, 41)]
-    # the largest n first, so the small ones read a prefix of a grown memo
+def test_first_inclined_weight_memo_is_append_only():
+    # The oracle's expected first-inclined groups, g(j) T(length-j), read the f and T
+    # memos term by term; the largest n first, so the small ones read a grown memo.
     for n in (250, *range(2, 41)):
-        for identity_id in ("thm8", "thm8c_corrected"):
+        for identity_id, length in (("thm8", 2 * n), ("thm8c_corrected", 2 * n + 1)):
             if n >= LOWER_BOUNDS[identity_id]:
                 groups = get_identity(identity_id).partition_expected(n)
+                assert list(groups) == [ABSENT, *map(str, range(2, length + 1))]
+                for j in range(2, length + 1):
+                    weight = fib(j // 2 - 1) * fib((j + 1) // 2 - 1)
+                    assert groups[str(j)] == weight * tet(length - j), (identity_id, n, j)
                 located = sum(groups.values()) - groups[ABSENT]
                 assert located == TERM_BY_TERM[identity_id][1](n), (identity_id, n)
-    assert len(identities._G) == 500  # g(2..501), for thm8c at n = 250
-    assert identities._G[:39] == early
 
 
 def test_oracle_mode_all_identities():
@@ -424,8 +421,12 @@ def test_ids_and_group_keys_need_no_json_escaping():
         assert json.dumps(key) == '"%s"' % key, key
 
 
+def tet_terms(start, stop, step=1):
+    return [tet(i) for i in range(start, stop, step)]
+
+
 def _thm5_sums(n):
-    # the two sums term by term over memo slices: the reference for Horner's rule
+    # the two sums term by term: the reference for Horner's rule
     return sum(map(lshift, tet_terms(2 * n - 4, -2, -2), range(1, n))) + 5 * sum(
         map(lshift, tet_terms(2 * n - 5, -1, -2), range(0, n - 2)))
 
@@ -442,7 +443,7 @@ def test_thm5_tail_by_horner_rule_in_either_direction(monkeypatch):
     assert tail(4) == _thm5_sums(4)
 
 
-# Reference right sides, summed over memo slices with one product per term, as
+# Reference right sides, summed over lists of terms with one product per term, as
 # the paper states them.  The stepped sums must equal them exactly.
 def _fib_terms(start, stop, step=1):
     return [fib(i) for i in range(start, stop, step)]
@@ -525,11 +526,11 @@ def test_stepped_sums_below_the_stated_range_raise_or_agree(monkeypatch):
 def test_steppers_keep_one_window_and_closed_records_grow_no_weight_memo(monkeypatch):
     assert len(STEPPERS) == 6
     _reset_steppers(monkeypatch)
-    monkeypatch.setattr(identities, "_G", [])  # restored afterwards
     for descriptor in list_identities():
         report = verify_range(descriptor.id, descriptor.n_lo, 500)
         assert report.ok is (descriptor.id not in PRINTED_MISMATCHES), descriptor.id
-    assert identities._G == []
+    # no memo of weights or terms: the sequence kernels hold the only memos
+    assert not [name for name, value in vars(identities).items() if isinstance(value, list)]
     for stepper in STEPPERS:
         assert set(vars(stepper)) == {"first", "step", "seed", "state"}
         last, window = stepper.state

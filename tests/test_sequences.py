@@ -10,7 +10,6 @@ from hexdomino import (
     tetranacci,
 )
 from hexdomino import sequences
-from hexdomino.sequences import tetranacci_terms
 
 TABLE = [1, 1, 2, 4, 8, 15, 29, 56, 108, 208, 401]
 
@@ -38,36 +37,6 @@ def test_tetranacci_pinned_deep_values():
     assert tetranacci(24) == 3919944
     assert tetranacci(25) == 7555935
     assert tetranacci(200) % 10**9 == tetranacci(200) - (tetranacci(200) // 10**9) * 10**9
-
-
-# (start, stop, step): ascending, stepped, descending to T(-1) or T(0), empty
-TERM_RANGES = [
-    (0, 11, 1),
-    (4, 40, 3),
-    (600, 610, 1),
-    (10, -2, -1),
-    (9, -2, -2),
-    (20, 0, -2),
-    (10, -1, -1),
-    (8, -1, -2),
-    (3, 3, 1),
-    (2, 5, -1),
-]
-
-
-@pytest.mark.parametrize("start, stop, step", TERM_RANGES)
-def test_terms_accessors_match_scalar_calls(start, stop, step):
-    indices = range(start, stop, step)
-    assert tetranacci_terms(start, stop, step) == [tetranacci(i) for i in indices]
-
-
-def test_terms_accessors_reject_indices_below_the_floor():
-    with pytest.raises(ValueError, match="tetranacci index must be >= -1, got -2"):
-        tetranacci_terms(3, -3, -1)
-    with pytest.raises(ValueError, match="got -2"):
-        tetranacci_terms(-2, 4)
-    # an empty range names no index at all
-    assert tetranacci_terms(-5, -5) == []
 
 
 def test_fibonacci_convention_starts_one_one():
@@ -103,8 +72,6 @@ def test_a_memo_past_physical_memory_is_refused_unchanged():
         tetranacci(10**20)
     with pytest.raises(MemoryError):
         fibonacci_comb(10**20)
-    with pytest.raises(MemoryError):
-        tetranacci_terms(0, 10**20, 10**19)
     assert (len(sequences._T), len(sequences._F)) == sizes
 
 
