@@ -8,14 +8,19 @@ with compact separators.
 Each handler imports the layers it runs, so a process loads only those:
 `count` and `sequences` load `sequences` alone, closed `verify` adds
 `identities`, and only enumerating commands load the tile geometry.
+
+One option table, `_SPEC`, serves two parsers.  `_quick_parse` reads a
+command line spelled in full, with each flag once, and loads nothing.  Every
+other line goes to argparse, built from the same table: it prints help and
+usage errors, and reads abbreviated flags, `--flag=value` and repeated flags.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import islice
+from types import SimpleNamespace
 
 from .sequences import (
     PRESET_NAMES,
@@ -46,25 +51,18 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract reserves 2 for
-    # verification failures, so route usage problems through an exception.
-    def error(self, message: str) -> None:
-        raise _UsageError(message)
-
-
 def _at_least(flag: str, value: int, floor: int = 0) -> None:
     if value < floor:
         raise _UsageError(f"{flag} must be >= {floor}, got {value}")
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     _at_least("--n", args.n)
     print(closed_count(args.classes, args.n))
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     from .enumerator import CLASS_PRESETS, _token_lines
 
     _at_least("--n", args.n)
@@ -74,7 +72,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: SimpleNamespace) -> int:
     _at_least("--n", args.n)
     from .strip_model import parse_tokens, render_ascii
 
@@ -82,7 +80,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .identities import get_identity, list_identities
 
     cap = max_cells()  # a malformed cap setting fails every verify run, closed mode too
@@ -104,10 +102,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     for descriptor, span in runs:
         for n in span:
-            record = descriptor.record(n, args.mode)
-            write(record.to_json_line() + "\n")
-            passed = record.checks_ok if args.expect_mismatch else record.ok
-            all_ok = all_ok and passed
+            line, checks_ok, ok = descriptor.record(n, args.mode)._line_and_checks()
+            write(line + "\n")
+            all_ok = all_ok and (checks_ok if args.expect_mismatch else ok)
     return 0 if all_ok else 2
 
 
@@ -163,7 +160,7 @@ def _bijection_payload(name: str, n: int) -> dict:
     }
 
 
-def _cmd_bijection(args: argparse.Namespace) -> int:
+def _cmd_bijection(args: SimpleNamespace) -> int:
     _at_least("--n", args.n, 5 if args.name == "thm2" else 0)
     import json  # the only command that builds a JSON line from a dict
     payload = _bijection_payload(args.name, args.n)
@@ -171,7 +168,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0 if payload["ok"] else 2
 
 
-def _cmd_sequences(args: argparse.Namespace) -> int:
+def _cmd_sequences(args: SimpleNamespace) -> int:
     if args.start > args.stop:
         raise _UsageError(f"--from must be <= --to, got {args.start}..{args.stop}")
     _at_least("--from", args.start, -1 if args.name == "T" else 0)
@@ -180,53 +177,105 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+# One table for both parsers: each command's help, handler and options, each
+# option a flag and its `add_argument` keywords.
+_SPEC = {
+    "count": ("count tilings of an n-cell strip", _cmd_count, (
+        ("--n", {"type": int, "required": True}),
+        ("--classes", {"choices": PRESET_NAMES, "default": "all"}),
+    )),
+    "enumerate": ("list tilings, one per line", _cmd_enumerate, (
+        ("--n", {"type": int, "required": True}),
+        ("--classes", {"choices": PRESET_NAMES, "default": "all"}),
+        ("--format", {"choices": ("tokens", "jsonl"), "default": "tokens"}),
+    )),
+    "render": ("two-row ASCII picture of one tiling", _cmd_render, (
+        ("--n", {"type": int, "required": True}),
+        ("--tiling", {"required": True, "help": 'token string, e.g. "S1 I3 S4"'}),
+    )),
+    "verify": ("verify identities, JSONL per (id, n)", _cmd_verify, (
+        ("--identity", {"required": True, "help": "registry id or 'all'"}),
+        ("--from", {"dest": "start", "type": int, "required": True}),
+        ("--to", {"dest": "stop", "type": int, "required": True}),
+        ("--mode", {"choices": ("closed", "oracle"), "default": "closed"}),
+        ("--expect-mismatch", {"action": "store_true", "help":
+            "exit 0 even when lhs != rhs (enumeration cross-checks still apply)"}),
+    )),
+    "bijection": ("check a correspondence exhaustively", _cmd_bijection, (
+        ("--name", {"choices": ("thm2", "lemma2", "lemma3"), "required": True}),
+        ("--n", {"type": int, "required": True}),
+    )),
+    "sequences": ("print a sequence table", _cmd_sequences, (
+        ("--name", {"choices": ("T", "f"), "required": True}),
+        ("--from", {"dest": "start", "type": int, "required": True}),
+        ("--to", {"dest": "stop", "type": int, "required": True}),
+    )),
+}
+
+
+def _quick_parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for `argv`, or None to leave `argv` to it.
+
+    Takes a command, then each of its flags once, spelled in full, with a value
+    that passes its `type` and `choices`.  A value may begin with `-` only as a
+    negative integer, which argparse also reads as a value, not a flag.
+    """
+    if not argv or argv[0] not in _SPEC:
+        return None
+    _, handler, options = _SPEC[argv[0]]
+    spec = dict(options)
+    values: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = spec.get(flag)
+        if keywords is None or flag in values:
+            return None
+        if keywords.get("action") == "store_true":
+            values[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value is refused like a flag
+        if value.startswith("-") and not value[1:].isdecimal():
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[flag] = value
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for flag, keywords in options:
+        if flag not in values and keywords.get("required"):
+            return None
+        store_true = keywords.get("action") == "store_true"
+        default = keywords.get("default", False if store_true else None)
+        setattr(args, keywords.get("dest", flag[2:].replace("-", "_")), values.get(flag, default))
+    return args
+
+
+def _build_parser():
+    """The argparse parser for `_SPEC`: it prints help and usage errors, and
+    reads every command line `_quick_parse` refuses."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad flags; the contract reserves 2 for
+        # verification failures, so route usage problems through an exception.
+        def error(self, message: str) -> None:
+            raise _UsageError(message)
+
     parser = _Parser(
         prog="hexdomino",
         description="Count, enumerate, and verify square/domino tilings of the "
         "hexagonal double-strip.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    count = sub.add_parser("count", help="count tilings of an n-cell strip")
-    count.add_argument("--n", type=int, required=True)
-    count.add_argument("--classes", choices=PRESET_NAMES, default="all")
-    count.set_defaults(handler=_cmd_count)
-
-    enum = sub.add_parser("enumerate", help="list tilings, one per line")
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--classes", choices=PRESET_NAMES, default="all")
-    enum.add_argument("--format", choices=("tokens", "jsonl"), default="tokens")
-    enum.set_defaults(handler=_cmd_enumerate)
-
-    render = sub.add_parser("render", help="two-row ASCII picture of one tiling")
-    render.add_argument("--n", type=int, required=True)
-    render.add_argument("--tiling", required=True, help='token string, e.g. "S1 I3 S4"')
-    render.set_defaults(handler=_cmd_render)
-
-    verify = sub.add_parser("verify", help="verify identities, JSONL per (id, n)")
-    verify.add_argument("--identity", required=True, help="registry id or 'all'")
-    verify.add_argument("--from", dest="start", type=int, required=True)
-    verify.add_argument("--to", dest="stop", type=int, required=True)
-    verify.add_argument("--mode", choices=("closed", "oracle"), default="closed")
-    verify.add_argument(
-        "--expect-mismatch",
-        action="store_true",
-        help="exit 0 even when lhs != rhs (enumeration cross-checks still apply)",
-    )
-    verify.set_defaults(handler=_cmd_verify)
-
-    bijection = sub.add_parser("bijection", help="check a correspondence exhaustively")
-    bijection.add_argument("--name", choices=("thm2", "lemma2", "lemma3"), required=True)
-    bijection.add_argument("--n", type=int, required=True)
-    bijection.set_defaults(handler=_cmd_bijection)
-
-    sequences = sub.add_parser("sequences", help="print a sequence table")
-    sequences.add_argument("--name", choices=("T", "f"), required=True)
-    sequences.add_argument("--from", dest="start", type=int, required=True)
-    sequences.add_argument("--to", dest="stop", type=int, required=True)
-    sequences.set_defaults(handler=_cmd_sequences)
-
+    for command, (help_text, handler, options) in _SPEC.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for flag, keywords in options:
+            command_parser.add_argument(flag, **keywords)
+        command_parser.set_defaults(handler=handler)
     return parser
 
 
@@ -236,9 +285,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_int_max_str_digits is not None:
         set_int_max_str_digits(0)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _quick_parse(argv) or _build_parser().parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -143,11 +143,17 @@ class IdentityRecord(namedtuple(
         """JSONL record; counts are decimal strings (they outgrow doubles).  Ids, modes
         and group keys (`absent`, `missing`, `duplicated`, locations, crossing keys such
         as `low-horizontal:square`) are plain ASCII that JSON leaves unescaped."""
-        ok = self.lhs == self.rhs
-        line = '{"id":"%s","n":%d,"lhs":"%d","rhs":"%d","equal":%s,"mode":"%s"' % (
-            self.id, self.n, self.lhs, self.rhs, _JSON_BOOL[ok], self.mode)
-        if self.oracle_total is not None or self.groups is not None:
-            ok = ok and self.checks_ok
+        return self._line_and_checks()[0]
+
+    def _line_and_checks(self) -> tuple[str, bool, bool]:
+        """`to_json_line`, `checks_ok` and `ok`, each worked out once."""
+        equal = self.lhs == self.rhs
+        lhs = "%d" % self.lhs
+        # the decimal text of a big count costs time quadratic in its digits
+        rhs = lhs if equal else "%d" % self.rhs
+        line = '{"id":"%s","n":%d,"lhs":"%s","rhs":"%s","equal":%s,"mode":"%s"' % (
+            self.id, self.n, lhs, rhs, _JSON_BOOL[equal], self.mode)
+        checks = self.checks_ok
         if self.oracle_total is not None:
             line += ',"oracle_total":"%d"' % self.oracle_total
         if self.groups is not None:
@@ -156,7 +162,8 @@ class IdentityRecord(namedtuple(
                 % (g.key, g.expected, g.observed, _JSON_BOOL[g.match])
                 for g in self.groups
             )
-        return line + ',"ok":%s}' % _JSON_BOOL[ok]
+        ok = equal and checks
+        return line + ',"ok":%s}' % _JSON_BOOL[ok], checks, ok
 
     def to_json_dict(self) -> dict:
         """The line `to_json_line` builds, parsed."""

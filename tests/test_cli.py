@@ -524,6 +524,61 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "count", "--help")[0] == 0
 
 
+# sha256 of the help text at 80 columns (argparse wraps help to the terminal).
+HELP_SHA256 = {
+    (): "d28ca4da4e96f3abe9b909edc74d0b289e54834e5caf345806229fb75a12b93f",
+    ("count",): "670fc105b0cbe1203124780eeb7c738237c248a9c9b7033fc0404956ed8d11e0",
+    ("enumerate",): "ee025f8d2e9c7614414a4060527db94ac0de1999f4a7d1d5ac3a47ce46f09e1e",
+    ("render",): "1c46329dd7cad924e12e5e40b9f19781337fb75226fb73604fcfab06af8c6d42",
+    ("verify",): "5262a88fe2679fff08f567472b38c452a319bf609395136852b979d4b71517a2",
+    ("bijection",): "8eac34152a7b7428986088fd052d255cca8c254796adacdf5eec4a91208e61b4",
+    ("sequences",): "2a7e06698aa8862776eec664e6998af77ffd07921162793476b9155811319991",
+}
+
+
+def test_help_text_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_SHA256.items():
+        code, out, err = run(capsys, *command, "--help")
+        assert (code, err) == (0, ""), command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def _invalid_choice(argument, value, choices):
+    # argparse quotes the choices through 3.13.0; later 3.12 and 3.13 releases do not
+    return {
+        f"usage error: argument {argument}: invalid choice: {value!r} (choose from {listed})\n"
+        for listed in (", ".join(map(repr, choices)), ", ".join(choices))
+    }
+
+
+def test_usage_error_lines_are_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, lines in (
+        (("count", "--n", "x"), {"usage error: argument --n: invalid int value: 'x'\n"}),
+        (("count",), {"usage error: the following arguments are required: --n\n"}),
+        (("count", "--n", "8", "--n"), {"usage error: argument --n: expected one argument\n"}),
+        (("verify", "--identity", "thm4", "--from", "5"),
+         {"usage error: the following arguments are required: --to\n"}),
+        (("enumerate", "--n", "3", "--classes", "bogus"),
+         _invalid_choice("--classes", "bogus", sorted(hexdomino.CLASS_PRESETS))),
+        (("render", "--n", "4", "--tiling", "-x"),
+         {"usage error: argument --tiling: expected one argument\n"}),
+        (("count", "--n", "8", "extra"), {"usage error: unrecognized arguments: extra\n"}),
+        (("nope",), _invalid_choice("command", "nope", (
+            "count", "enumerate", "render", "verify", "bijection", "sequences"))),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err in lines, argv
+
+
+def test_abbreviated_joined_and_repeated_flags_still_parse(capsys):
+    assert run(capsys, "count", "--cl", "no-squares", "--n", "8") == (0, "5\n", "")
+    assert run(capsys, "count", "--n=8") == (0, "108\n", "")
+    assert run(capsys, "count", "--n", "8", "--n", "9") == (0, "208\n", "")
+
+
 def test_cap_env_respected(capsys, monkeypatch):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "6")
     code, _, err = run(capsys, "enumerate", "--n", "7")

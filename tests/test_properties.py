@@ -1,7 +1,9 @@
 """Properties of random valid tilings, drawn move by move from the frontier automaton."""
+import io
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexdomino import (
@@ -17,6 +19,7 @@ from hexdomino import (
     to_tokens,
     validate,
 )
+from hexdomino import cli
 from hexdomino.enumerator import CanonicalRank, _moves, last_tile_group
 
 
@@ -166,3 +169,77 @@ def test_thm2_map_reads_and_rewrites_only_the_last_two_locations(tiling):
     for image, padded_image in zip(thm2_map(tiling), thm2_map(padded)):
         mapped = tuple(t for t in padded_image.tiles if t.location >= m - 1)
         assert image == Tiling(padded_image.length, rest + mapped)
+
+
+# Values argparse and `int` read in ways easy to get wrong: a negative number,
+# underscores, blanks, a sign, a flag-like word, an empty string.
+ODD_VALUES = ("-1", "x", "1_0", " 7", "+3", "-x", "", "-", "--", "-h", "-1.5", "S1 I3 S4")
+
+
+@st.composite
+def command_lines(draw):
+    """A command and a random subset of its flags in random order, mostly well
+    formed, sometimes with `-h`, a repeat, an abbreviation, an `=` form or a
+    missing value."""
+    command = draw(st.sampled_from(sorted(cli._SPEC)))
+    options = draw(st.permutations(cli._SPEC[command][2]))
+    argv = [command]
+    kept = draw(st.one_of(st.just(len(options)), st.integers(0, len(options))))
+    for flag, keywords in options[:kept]:
+        if keywords.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        if "choices" in keywords:
+            fitting = st.sampled_from(keywords["choices"])
+        elif "type" in keywords:
+            fitting = st.integers(-3, 30).map(str)
+        else:  # any string fits; these are the ones that may read as a flag
+            fitting = st.sampled_from(("thm4", "all", "S1 I3 S4", *ODD_VALUES))
+        value = draw(st.one_of(fitting, fitting, fitting, st.sampled_from(ODD_VALUES)))
+        spelling = draw(st.sampled_from(
+            ("exact",) * 12 + ("abbreviated", "joined", "repeated", "bare")))
+        if spelling == "abbreviated" and len(flag) > 3:
+            argv += [flag[: draw(st.integers(3, len(flag) - 1))], value]
+        elif spelling == "joined":
+            argv.append(f"{flag}={value}")
+        elif spelling == "bare":
+            argv.append(flag)
+        else:
+            argv += [flag, value] * (2 if spelling == "repeated" else 1)
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), "-h")
+    return argv
+
+
+def argparse_namespace(argv):
+    """What argparse makes of `argv`, or None where it prints help or an error."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except (cli._UsageError, SystemExit):
+        return None
+
+
+@settings(max_examples=400)
+@given(command_lines())
+def test_quick_parse_agrees_with_argparse(argv):
+    quick = cli._quick_parse(argv)
+    expected = argparse_namespace(argv)
+    if expected is None:
+        assert quick is None
+    elif quick is not None:
+        assert vars(quick) == expected
+
+
+def test_quick_parse_takes_well_formed_lines():
+    for argv in (
+        ["count", "--n", "0"],
+        ["enumerate", "--format", "jsonl", "--n", "16", "--classes", "no-squares"],
+        ["render", "--n", "4", "--tiling", "S1 I3 S4"],
+        ["verify", "--identity", "thm8", "--mode", "oracle", "--from", "3", "--to", "10"],
+        ["verify", "--identity", "all", "--from", "0", "--to", "300", "--expect-mismatch"],
+        ["bijection", "--n", "-1", "--name", "thm2"],
+        ["sequences", "--name", "T", "--from", "-1", "--to", "9"],
+    ):
+        quick = cli._quick_parse(argv)
+        assert quick is not None and vars(quick) == argparse_namespace(argv), argv

@@ -157,6 +157,30 @@ def test_only_bijection_loads_json(argv):
     assert ("json" in loaded) == (argv[0] == "bijection")
 
 
+# argparse, and the translation modules it loads for its messages
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [
+    *EVERY_COMMAND,
+    ("count", "--n", "9", "--classes", "no-squares"),
+    ("enumerate", "--n", "6", "--classes", "no-squares", "--format", "jsonl"),
+    ("verify", "--identity", "thm4", "--mode", "oracle", "--from", "5", "--to", "7"),
+    ("verify", "--identity", "thm4", "--from", "5", "--to", "7"),
+    ("verify", "--identity", "thm8", "--mode", "oracle", "--from", "3", "--to", "10"),
+])
+def test_well_formed_commands_skip_argparse(argv):
+    loaded = loaded_modules(*argv, code=ALL_MODULES)
+    assert "hexdomino.cli" in loaded
+    assert not loaded & ARGPARSE
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("count", "--n=5")])
+def test_help_and_other_spellings_load_argparse(argv):
+    loaded = loaded_modules(*argv, code=ALL_MODULES)
+    assert "argparse" in loaded
+
+
 def test_every_public_name_is_its_defining_modules_object():
     for name in hexdomino.__all__:
         module = importlib.import_module(f"hexdomino.{hexdomino._ORIGIN[name]}")
