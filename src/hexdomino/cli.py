@@ -146,14 +146,14 @@ def _bijection_payload(name: str, n: int) -> dict:
         image.add(single)
         if backward(single) == tiling:
             round_trip_ok += 1
-    codomain = sum(1 for _ in enumerate_single_strip(n))
-    image_complete = len(image) == domain == codomain
+    codomain = set(enumerate_single_strip(n))
+    image_complete = len(image) == domain and image == codomain
     return {
         "name": name,
         "n": n,
         "strip_cells": length,
         "domain": domain,
-        "codomain": codomain,
+        "codomain": len(codomain),
         "round_trip_ok": round_trip_ok,
         "image_complete": image_complete,
         "ok": domain == round_trip_ok and image_complete,

@@ -18,8 +18,8 @@ from itertools import chain, repeat
 from operator import attrgetter
 
 from .enumerator import (
-    CanonicalRank, _check_size, _tile, _walk, count_by_enumeration, enumerate_tilings,
-    tally_by_window,
+    CanonicalRank, _check_size, _compile, _tile, _walk, count_by_enumeration,
+    enumerate_tilings, tally_by_window,
 )
 from .strip_model import Tile, Tiling, to_tokens, validate
 
@@ -56,14 +56,10 @@ class SingleStripTiling(namedtuple("SingleStripTiling", "length tiles")):
 
 def enumerate_single_strip(length: int) -> Iterator[SingleStripTiling]:
     """All square/domino tilings of a single strip, count f_length, canonical
-    order: from the lowest uncovered cell c, `_walk` tries a square at c before
-    a domino over c and c+1, so the tilings sort with S before D."""
+    order: `_compile`, given `_SINGLE_MIN_LOCATION`, covers the lowest free cell
+    c with S@c before D@(c+1), so `_walk` lists the tilings with S before D."""
     _check_size(length)
-    table = {}
-    for c in range(1, length + 1):
-        table[c] = [((SingleTile(c, "S"),), c + 1)]
-        if c < length:
-            table[c].append(((SingleTile(c + 1, "D"),), c + 2))
+    table = _compile(length, _SINGLE_MIN_LOCATION, SingleTile)
     return map(SingleStripTiling, repeat(length), _walk(table, length, (), ()))
 
 

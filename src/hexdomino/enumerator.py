@@ -1,12 +1,12 @@
 """Enumeration, counting and first-tile partitions of double-strip tilings.
 
-Every tiling is built by covering the lowest uncovered cell c with one of
-four blocks, the four ways Theorem 1 splits the tilings at one end.  In
-canonical order they are Square@c, Inclined@(c+1), a horizontal over a
-square (Square@(c+1), Horizontal@(c+2)) and two stacked horizontals
-(Horizontal@(c+2), Horizontal@(c+3)).  Each covers exactly the cells from c
-up to the next frontier cell, c+1 to c+4, so the frontier state is the cell
-c alone, and every path places its tiles in location order.
+Every tiling is built by covering the lowest uncovered cell c with a block,
+which `_compile` finds from tile geometry alone; a test checks that the blocks
+are the four ways Theorem 1 splits the tilings at one end, in canonical order
+Square@c, Inclined@(c+1), Square@(c+1) under Horizontal@(c+2), and
+Horizontal@(c+2) with Horizontal@(c+3).  Each covers exactly the cells from c
+up to the next frontier cell, so the frontier state is the cell c alone, and
+every path places its tiles in location order.
 
 `_transitions` compiles those moves once per (n, classes) into a table keyed
 by frontier cell, kept for the process, and four consumers share it.
@@ -32,6 +32,7 @@ from itertools import chain, repeat
 
 from .sequences import CapExceeded, max_cells
 from .strip_model import (
+    _MIN_LOCATION,
     ALL_CLASSES,
     HORIZONTAL,
     LEFT_INCLINED,
@@ -73,34 +74,41 @@ def _class_set(classes) -> frozenset[str]:
     return class_set
 
 
-def _moves(c: int, n: int, class_set: frozenset[str]) -> Iterator[tuple[tuple[Tile, ...], int]]:
-    """Yield (tiles, next_c) for each allowed block covering frontier cell c.
+def _compile(n: int, lowest: dict[str, int], make) -> dict[int, tuple]:
+    """The move table of an n-cell strip, {c: ((tiles, next_c), ...)}, keyed from
+    c = n down to 1, so each cell comes after the cells its moves lead to.
 
-    The tiles ascend in location and cover exactly cells c..next_c-1.  This
-    is the only place that decides which tiles fit the frontier; moves come
-    out in canonical order.
+    A tile of kind K at k covers cells k + 1 - lowest[K] and k.  At frontier c,
+    each kind in `lowest`'s order, laid on the lowest free cell, joins the block
+    if it stays in the strip, overlaps nothing and `make(k, K)` is not None; the
+    block grows from its new frontier while a covered cell lies above it, then
+    yields its tiles in location order.  Only this decides which tiles fit.
     """
-    if SQUARE in class_set:
-        yield (_tile(c, "S"),), c + 1
-    if c + 1 <= n and (RIGHT_INCLINED if (c + 1) % 2 == 0 else LEFT_INCLINED) in class_set:
-        yield (_tile(c + 1, "I"),), c + 2
-    if HORIZONTAL in class_set and c + 2 <= n:
-        if SQUARE in class_set:
-            yield (_tile(c + 1, "S"), _tile(c + 2, "H")), c + 3
-        if c + 3 <= n:
-            yield (_tile(c + 2, "H"), _tile(c + 3, "H")), c + 4
+    def blocks(free: int, covered: frozenset, tiles: tuple):
+        for kind, low in lowest.items():
+            k = free + low - 1
+            if k > n or k in covered or (tile := make(k, kind)) is None:
+                continue
+            now, next_c = covered | {free, k}, free + 1
+            while next_c in now:
+                next_c += 1
+            if max(now) < next_c:
+                yield tuple(sorted(tiles + (tile,))), next_c
+            else:
+                yield from blocks(next_c, now, tiles + (tile,))
+
+    return {c: tuple(blocks(c, frozenset(), ())) for c in range(n, 0, -1)}
 
 
 @lru_cache(maxsize=64)
 def _transitions(n: int, class_set: frozenset[str]) -> dict[int, tuple]:
-    """The compiled automaton: {c: tuple(_moves(c, n, class_set))}.
+    """`_compile`'s double-strip table of the interned tiles of allowed classes,
+    cached per (n, class_set) and shared by every caller, which must not mutate it."""
+    def make(k: int, kind: str) -> Tile | None:
+        tile = _tile(k, kind)
+        return tile if tile.tile_class in class_set else None
 
-    Every frontier cell of the n-cell strip is a key, from c = n down to 1,
-    so each cell comes after the cells its moves lead to.  The table is
-    cached per (n, class_set) and shared by every caller, which must not
-    mutate it.
-    """
-    return {c: tuple(_moves(c, n, class_set)) for c in range(n, 0, -1)}
+    return _compile(n, _MIN_LOCATION, make)
 
 
 def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:

@@ -80,11 +80,7 @@ class Tile(namedtuple("Tile", "location kind")):
 
 
 def _cells(location: int, kind: str) -> frozenset[int]:
-    if kind == "S":
-        return frozenset({location})
-    if kind == "I":
-        return frozenset({location - 1, location})
-    return frozenset({location - 2, location})
+    return frozenset({location + 1 - _MIN_LOCATION[kind], location})
 
 
 def cells_of(tile: Tile) -> frozenset[int]:

@@ -488,6 +488,31 @@ def test_bijection_reports(capsys):
     assert report["strip_cells"] == 18 and report["domain"] == 55 and report["ok"]
 
 
+@pytest.mark.parametrize("name, n", [("lemma2", 8), ("lemma3", 5)])
+def test_bijection_checks_that_the_images_are_the_codomain(capsys, monkeypatch, name, n):
+    # a map pair that round-trips and is one-to-one, but sends every tiling
+    # 100 cells past the codomain's length
+    from hexdomino import correspondences
+    from hexdomino.correspondences import SingleStripTiling
+
+    forward = getattr(correspondences, f"{name}_to_single")
+    backward = getattr(correspondences, f"{name}_from_single")
+
+    def shifted_forward(tiling):
+        single = forward(tiling)
+        return SingleStripTiling(single.length + 100, single.tiles)
+
+    def shifted_backward(single):
+        return backward(SingleStripTiling(single.length - 100, single.tiles))
+
+    monkeypatch.setattr(correspondences, f"{name}_to_single", shifted_forward)
+    monkeypatch.setattr(correspondences, f"{name}_from_single", shifted_backward)
+    code, out, _ = run(capsys, "bijection", "--name", name, "--n", str(n))
+    report = json.loads(out)
+    assert report["domain"] == report["codomain"] == report["round_trip_ok"]
+    assert (code, report["image_complete"], report["ok"]) == (2, False, False)
+
+
 def test_bijection_thm2_below_range(capsys):
     code, _, _ = run(capsys, "bijection", "--name", "thm2", "--n", "4")
     assert code == 1

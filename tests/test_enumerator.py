@@ -30,8 +30,10 @@ from hexdomino import (
     validate,
 )
 from hexdomino import enumerator
-from hexdomino.correspondences import SingleStripTiling, SingleTile, enumerate_single_strip
-from hexdomino.enumerator import CanonicalRank, _token_lines, _transitions
+from hexdomino.correspondences import (
+    _SINGLE_MIN_LOCATION, SingleStripTiling, SingleTile, enumerate_single_strip,
+)
+from hexdomino.enumerator import CanonicalRank, _compile, _token_lines, _transitions
 
 GOLDEN_N4 = [
     "S1 S2 S3 S4",
@@ -248,6 +250,51 @@ def test_each_move_covers_the_frontier_up_to_its_next_cell_in_location_order():
                     assert locations == sorted(set(locations)), (n, c, tiles)
                     cells = [cell for tile in tiles for cell in tile.cells]
                     assert sorted(cells) == list(range(c, next_c)), (n, c, tiles)
+
+
+def theorem1_blocks(c):
+    """Theorem 1's four ways to cover cell c, in canonical order, with their next cells."""
+    return [
+        ((Tile(c, "S"),), c + 1),
+        ((Tile(c + 1, "I"),), c + 2),
+        ((Tile(c + 1, "S"), Tile(c + 2, "H")), c + 3),
+        ((Tile(c + 2, "H"), Tile(c + 3, "H")), c + 4),
+    ]
+
+
+def test_compiled_blocks_are_theorem1s_four():
+    # the i-th block reaches cell c + i, so n - c < 3 keeps the leading blocks that fit
+    for n in range(40):
+        for c, moves in _transitions(n, ALL_CLASSES).items():
+            assert list(moves) == theorem1_blocks(c)[:min(n - c + 1, 4)], (n, c)
+
+
+def test_restricted_tables_keep_the_allowed_blocks_in_order():
+    for n in range(40):
+        full = _transitions(n, ALL_CLASSES)
+        for classes in CLASS_SETS:
+            assert _transitions(n, classes) == {
+                c: tuple(move for move in moves if all(t.tile_class in classes for t in move[0]))
+                for c, moves in full.items()
+            }, (sorted(classes), n)
+
+
+def test_single_strip_blocks_are_a_square_then_a_domino():
+    for n in range(40):
+        table = _compile(n, _SINGLE_MIN_LOCATION, SingleTile)
+        assert list(table) == list(range(n, 0, -1))
+        for c, moves in table.items():
+            blocks = [((SingleTile(c, "S"),), c + 1), ((SingleTile(c + 1, "D"),), c + 2)]
+            assert list(moves) == blocks[:1 + (c < n)], (n, c)
+
+
+def test_tile_cells_follow_the_lowest_locations():
+    for k in range(1, 51):
+        assert Tile(k, "S").cells == {k}
+        if k >= 2:
+            assert Tile(k, "I").cells == {k - 1, k}
+        if k >= 3:
+            assert Tile(k, "H").cells == {k - 2, k}
 
 
 def test_walk_fold_and_rank_share_one_move_table():

@@ -20,18 +20,18 @@ from hexdomino import (
     validate,
 )
 from hexdomino import cli
-from hexdomino.enumerator import CanonicalRank, _moves, last_tile_group
+from hexdomino.enumerator import CanonicalRank, _transitions, last_tile_group
 
 
 @st.composite
 def walked(draw, n):
-    """A valid n-cell tiling: from each frontier cell, one of the moves `_moves`
-    allows, and the index in `_moves` of each move taken.
+    """A valid n-cell tiling: from each frontier cell, one of its moves in the
+    `_transitions` table, and the index there of each move taken.
 
     Built unsorted, so `validate` checks that the moves place tiles in order."""
     tiles, indices, c = [], [], 1
     while c <= n:
-        moves = list(_moves(c, n, ALL_CLASSES))
+        moves = _transitions(n, ALL_CLASSES)[c]
         indices.append(draw(st.integers(0, len(moves) - 1)))
         move, c = moves[indices[-1]]
         tiles += move
@@ -72,7 +72,7 @@ def test_breakable_iff_split_succeeds(tiling):
 
 @given(st.data())
 def test_rank_orders_tilings_as_the_walk_does(data):
-    # the walk tries moves in `_moves` order, so it meets tilings in the
+    # the walk tries moves in table order, so it meets tilings in the
     # lexicographic order of their move indices
     n = data.draw(st.integers(0, 40))
     (a, a_moves), (b, b_moves) = data.draw(walked(n)), data.draw(walked(n))
