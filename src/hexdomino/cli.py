@@ -173,6 +173,7 @@ def _cmd_sequences(args: SimpleNamespace) -> int:
         raise _UsageError(f"--from must be <= --to, got {args.start}..{args.stop}")
     _at_least("--from", args.start, -1 if args.name == "T" else 0)
     term = tetranacci if args.name == "T" else fibonacci_comb
+    term(args.stop)  # a stop past memory fails before the first line is written
     _write_lines(f"{i}\t{term(i)}" for i in range(args.start, args.stop + 1))
     return 0
 

@@ -23,8 +23,6 @@ from .enumerator import (
 )
 from .strip_model import Tile, Tiling, to_tokens, validate
 
-_SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
-
 
 class SingleTile(namedtuple("SingleTile", "location kind")):
     """A single-strip tile, checked on construction like `Tile`: "S" covers
@@ -54,13 +52,16 @@ class SingleStripTiling(namedtuple("SingleStripTiling", "length tiles")):
         return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
 
 
+_SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
+_single_strip = _compile(_SINGLE_MIN_LOCATION, SingleTile)  # the single strip's tables
+
+
 def enumerate_single_strip(length: int) -> Iterator[SingleStripTiling]:
     """All square/domino tilings of a single strip, count f_length, canonical
     order: `_compile`, given `_SINGLE_MIN_LOCATION`, covers the lowest free cell
     c with S@c before D@(c+1), so `_walk` lists the tilings with S before D."""
     _check_size(length)
-    table = _compile(length, _SINGLE_MIN_LOCATION, SingleTile)
-    return map(SingleStripTiling, repeat(length), _walk(table, length, (), ()))
+    return map(SingleStripTiling, repeat(length), _walk(_single_strip(length), length, (), ()))
 
 
 def thm2_map(tiling: Tiling) -> tuple[Tiling, Tiling]:
@@ -174,8 +175,7 @@ def thm2_verify(n: int) -> Thm2Report:
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
     inputs_walk = enumerate_tilings(n - 1)  # checks n - 1 against the cap
-    _check_size(n)  # and n, before any input is walked
-    ranks = {n: CanonicalRank(n), n - 5: CanonicalRank(n - 5)}
+    ranks = {n: CanonicalRank(n), n - 5: CanonicalRank(n - 5)}  # and n, before any walk
     offsets = {n: 0, n - 5: ranks[n].total}
     expected_total = ranks[n].total + ranks[n - 5].total
     seen = bytearray(expected_total)  # per target tiling: 0, 1, or 2 for more

@@ -8,26 +8,25 @@ Horizontal@(c+2) with Horizontal@(c+3).  Each covers exactly the cells from c
 up to the next frontier cell, so the frontier state is the cell c alone, and
 every path places its tiles in location order.
 
-`_transitions` compiles those moves once per (n, classes) into a table keyed
-by frontier cell, kept for the process, and four consumers share it.
+`_compile` finds each cell's moves once per class set, for every length, and
+`_transitions` checks n and hands out the n-cell table, keyed by frontier cell.
 `_walk` lists the paths of any such table: all paths that reach a late cell
 share its finishes, built once, so it walks only the early cells and yields
 each path there before every finish.  `enumerate_tilings` walks the tiles;
 `_token_lines` walks a copy holding each move's tokens as text, so the CLI's
-`enumerate` builds no tiling and joins no tokens.  Counting never lists a
-path: `_ways` counts the paths from every cell to the end in one backward pass
-over the table (the transfer-matrix method), `count_by_enumeration` and
+`enumerate` builds no tiling and joins no tokens.  Counting never lists a path:
+`_ways` counts the paths from every cell to the end in one backward pass over
+the table (the transfer-matrix method), `count_by_enumeration` and
 `CanonicalRank` read it, and `partition_by_first` splits every path at its
 first tracked tile with one forward pass over tracked-free moves.  Only
 `tally_by_window` keys its backward pass by more than a count.  So their cost
-grows with n rather than with the number of tilings, and none of them
-consults the Tetranacci recurrence it is used to check.
+grows with n, not with the tilings, and none reads the recurrence it checks.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain, repeat
 
 from .sequences import CapExceeded, max_cells
@@ -59,8 +58,7 @@ _tile = cache(Tile)
 def _check_size(n: int) -> None:
     if n < 0:
         raise ValueError(f"strip length must be >= 0, got {n}")
-    limit = max_cells()
-    if n > limit:
+    if n > (limit := max_cells()):
         raise CapExceeded(f"strip length {n} exceeds the enumeration cap {limit}")
 
 
@@ -74,20 +72,22 @@ def _class_set(classes) -> frozenset[str]:
     return class_set
 
 
-def _compile(n: int, lowest: dict[str, int], make) -> dict[int, tuple]:
-    """The move table of an n-cell strip, {c: ((tiles, next_c), ...)}, keyed from
-    c = n down to 1, so each cell comes after the cells its moves lead to.
+def _compile(lowest: dict[str, int], make):
+    """Return table(n), the n-cell strip's moves {c: ((tiles, next_c), ...)} keyed
+    from c = n down to 1, so each cell comes after the cells its moves lead to.
 
     A tile of kind K at k covers cells k + 1 - lowest[K] and k.  At frontier c,
     each kind in `lowest`'s order, laid on the lowest free cell, joins the block
-    if it stays in the strip, overlaps nothing and `make(k, K)` is not None; the
-    block grows from its new frontier while a covered cell lies above it, then
-    yields its tiles in location order.  Only this decides which tiles fit.
+    if it overlaps nothing and `make(k, K)` is not None; the block grows from its
+    new frontier while a covered cell lies above it, then yields its tiles in
+    location order.  Each cell of the endless strip is compiled once, on first
+    use; a block ends just below its next cell, so table(n) keeps next_c <= n + 1.
     """
+    strip = [()]  # strip[c]: the moves at cell c of the endless strip, once compiled
     def blocks(free: int, covered: frozenset, tiles: tuple):
         for kind, low in lowest.items():
             k = free + low - 1
-            if k > n or k in covered or (tile := make(k, kind)) is None:
+            if k in covered or (tile := make(k, kind)) is None:
                 continue
             now, next_c = covered | {free, k}, free + 1
             while next_c in now:
@@ -97,18 +97,24 @@ def _compile(n: int, lowest: dict[str, int], make) -> dict[int, tuple]:
             else:
                 yield from blocks(next_c, now, tiles + (tile,))
 
-    return {c: tuple(blocks(c, frozenset(), ())) for c in range(n, 0, -1)}
+    def table(n: int) -> dict[int, tuple]:
+        strip.extend(tuple(blocks(c, frozenset(), ())) for c in range(len(strip), n + 1))
+        return {c: tuple(move for move in strip[c] if move[1] <= n + 1) for c in range(n, 0, -1)}
+
+    return table
 
 
-@lru_cache(maxsize=64)
-def _transitions(n: int, class_set: frozenset[str]) -> dict[int, tuple]:
-    """`_compile`'s double-strip table of the interned tiles of allowed classes,
-    cached per (n, class_set) and shared by every caller, which must not mutate it."""
-    def make(k: int, kind: str) -> Tile | None:
-        tile = _tile(k, kind)
-        return tile if tile.tile_class in class_set else None
+@cache
+def _compiled(class_set: frozenset[str]):
+    """`_compile`'s double-strip tables of the interned tiles of allowed classes."""
+    return _compile(_MIN_LOCATION, lambda k, kind: (
+        tile if (tile := _tile(k, kind)).tile_class in class_set else None))
 
-    return _compile(n, _MIN_LOCATION, make)
+
+def _transitions(n: int, classes=ALL_CLASSES) -> dict[int, tuple]:
+    """The n-cell double-strip table of allowed classes; checks n, then the classes."""
+    _check_size(n)
+    return _compiled(_class_set(classes))(n)
 
 
 def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
@@ -119,17 +125,15 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
     reads the compiled `_transitions` table, so no tile is built per step,
     and each path's tiles come in location order, so no tiling is sorted.
     """
-    _check_size(n)
-    return map(Tiling, repeat(n), _walk(_transitions(n, _class_set(classes)), n, (), ()))
+    return map(Tiling, repeat(n), _walk(_transitions(n, classes), n, (), ()))
 
 
 def _token_lines(n: int, classes, head: str = "", tail: str = "") -> Iterator[str]:
     """head + `to_tokens` + tail of each tiling `enumerate_tilings(n, classes)` yields."""
-    _check_size(n)
     table = {
         c: tuple((" " * (c > 1) + " ".join(tile.token for tile in tiles), next_c)
                  for tiles, next_c in moves)
-        for c, moves in _transitions(n, _class_set(classes)).items()
+        for c, moves in _transitions(n, classes).items()
     }
     return _walk(table, n, head, tail)
 
@@ -179,8 +183,7 @@ def count_by_enumeration(n: int, classes=ALL_CLASSES) -> int:
     The pass derives every count from tile geometry alone, never from the
     Tetranacci recurrence, so it stays an independent oracle for it.
     """
-    _check_size(n)
-    return _ways(_transitions(n, _class_set(classes)), n)[1]
+    return _ways(_transitions(n, classes), n)[1]
 
 
 def partition_by_first(n: int, classes) -> dict[int | None, int]:
@@ -193,9 +196,7 @@ def partition_by_first(n: int, classes) -> dict[int | None, int]:
     forward pass counts the tracked-free paths reaching each cell c, and such
     a move adds reach[c] * ways[next_c] to the group of its lowest tracked tile.
     """
-    _check_size(n)
-    tracked = _class_set(classes)
-    table = _transitions(n, ALL_CLASSES)
+    table, tracked = _transitions(n), _class_set(classes)
     ways, reach, groups = _ways(table, n), [0, 1] + [0] * n, {}
     for c in range(1, n + 1):
         if not (paths := reach[c]):
@@ -219,9 +220,8 @@ def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
     backward pass maps each frontier cell to {window of a finish: its count},
     prefixing each move's own tiles in lo..hi to the windows of its next cell.
     """
-    _check_size(n)
     rests: dict[int, dict] = {n + 1: {(): 1}}
-    for c, moves in _transitions(n, ALL_CLASSES).items():
+    for c, moves in _transitions(n).items():
         windows: dict = {}
         for tiles, next_c in moves:
             own = tuple(tile for tile in tiles if lo <= tile.location <= hi)
@@ -248,12 +248,11 @@ class CanonicalRank:
     move's tiles ascend and end just below its next cell, so `rank` reads the
     next cell off each tile's location; a move's second tile is looked up at
     the cell after its first, where no move starts with it, and adds 0.
-    Neither the cap nor `validate` is consulted: `rank` reads valid tilings only.
     The walk yields tilings in rank order, so it names the tiling at a rank.
     """
 
     def __init__(self, n: int) -> None:
-        table = _transitions(n, ALL_CLASSES)
+        table = _transitions(n)
         ways = _ways(table, n)
         self._weights: dict[int, dict[str, int]] = {}
         for c, moves in table.items():

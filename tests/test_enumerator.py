@@ -1,6 +1,7 @@
 """Enumeration engine: canonical order, restricted families, partitions, crossings."""
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import accumulate, combinations, product
 
 import pytest
@@ -29,11 +30,13 @@ from hexdomino import (
     to_tokens,
     validate,
 )
-from hexdomino import enumerator
+from hexdomino import correspondences, enumerator
 from hexdomino.correspondences import (
     _SINGLE_MIN_LOCATION, SingleStripTiling, SingleTile, enumerate_single_strip,
 )
 from hexdomino.enumerator import CanonicalRank, _compile, _token_lines, _transitions
+from hexdomino.identities import verify_range
+from hexdomino.strip_model import _MIN_LOCATION
 
 GOLDEN_N4 = [
     "S1 S2 S3 S4",
@@ -262,14 +265,16 @@ def theorem1_blocks(c):
     ]
 
 
-def test_compiled_blocks_are_theorem1s_four():
+def test_compiled_blocks_are_theorem1s_four(monkeypatch):
     # the i-th block reaches cell c + i, so n - c < 3 keeps the leading blocks that fit
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "39")
     for n in range(40):
         for c, moves in _transitions(n, ALL_CLASSES).items():
             assert list(moves) == theorem1_blocks(c)[:min(n - c + 1, 4)], (n, c)
 
 
-def test_restricted_tables_keep_the_allowed_blocks_in_order():
+def test_restricted_tables_keep_the_allowed_blocks_in_order(monkeypatch):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "39")
     for n in range(40):
         full = _transitions(n, ALL_CLASSES)
         for classes in CLASS_SETS:
@@ -281,7 +286,7 @@ def test_restricted_tables_keep_the_allowed_blocks_in_order():
 
 def test_single_strip_blocks_are_a_square_then_a_domino():
     for n in range(40):
-        table = _compile(n, _SINGLE_MIN_LOCATION, SingleTile)
+        table = _compile(_SINGLE_MIN_LOCATION, SingleTile)(n)
         assert list(table) == list(range(n, 0, -1))
         for c, moves in table.items():
             blocks = [((SingleTile(c, "S"),), c + 1), ((SingleTile(c + 1, "D"),), c + 2)]
@@ -297,14 +302,81 @@ def test_tile_cells_follow_the_lowest_locations():
             assert Tile(k, "H").cells == {k - 2, k}
 
 
-def test_walk_fold_and_rank_share_one_move_table():
-    _transitions.cache_clear()
+def reference_compile(n, lowest, make):
+    """The per-length compiler the endless strip's tables replaced, kept as their
+    reference: it compiles every cell of the n-cell strip anew and drops a tile
+    past cell n as it lays it."""
+    def blocks(free, covered, tiles):
+        for kind, low in lowest.items():
+            k = free + low - 1
+            if k > n or k in covered or (tile := make(k, kind)) is None:
+                continue
+            now, next_c = covered | {free, k}, free + 1
+            while next_c in now:
+                next_c += 1
+            if max(now) < next_c:
+                yield tuple(sorted(tiles + (tile,))), next_c
+            else:
+                yield from blocks(next_c, now, tiles + (tile,))
+
+    return {c: tuple(blocks(c, frozenset(), ())) for c in range(n, 0, -1)}
+
+
+def test_tables_equal_the_per_length_compiler(monkeypatch):
+    # a fresh strip per class set grows cell by cell to 59, then serves the
+    # long strips: 501 grows it, and 500 and 499 read that compile
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "501")
+    monkeypatch.setattr(enumerator, "_compiled", cache(enumerator._compiled.__wrapped__))
+    for classes in CLASS_SETS:
+        def make(k, kind):
+            tile = Tile(k, kind)
+            return tile if tile.tile_class in classes else None
+
+        for n in [*range(60), 501, 500, 499]:
+            expected = reference_compile(n, _MIN_LOCATION, make)
+            assert list(_transitions(n, classes).items()) == list(expected.items()), (
+                sorted(classes), n)
+    single = correspondences._single_strip
+    for n in range(60):
+        expected = reference_compile(n, _SINGLE_MIN_LOCATION, SingleTile)
+        assert list(single(n).items()) == list(expected.items()), n
+
+
+def test_each_cell_is_compiled_once_per_class_set(monkeypatch):
+    # each strip makes the tiles one compile of its longest table makes: had any
+    # cell been compiled twice, it would have made its tiles twice
+    compile_, strips = enumerator._compile, []
+
+    def logged(lowest, make):
+        made, longest = [], [0]
+
+        def counted(k, kind):
+            made.append((k, kind))
+            return make(k, kind)
+
+        def table(n):
+            longest[0] = max(longest[0], n)
+            return strip(n)
+
+        strip = compile_(lowest, counted)
+        strips.append((lowest, make, made, longest))
+        return table
+
+    monkeypatch.setattr(enumerator, "_compile", logged)
+    monkeypatch.setattr(enumerator, "_compiled", cache(enumerator._compiled.__wrapped__))
+    monkeypatch.setattr(correspondences, "_single_strip", logged(_SINGLE_MIN_LOCATION, SingleTile))
     list(enumerate_tilings(10))
     count_by_enumeration(10)
     CanonicalRank(10)
+    assert verify_range("thm8", 3, 12, "oracle").ok
     count_by_enumeration(10, CLASS_PRESETS["no-squares"])
-    info = _transitions.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    list(enumerate_single_strip(9))
+    list(enumerate_single_strip(6))
+    assert [longest for *_, longest in strips] == [[9], [24], [10]]  # single, all, no-squares
+    for lowest, make, made, longest in strips:
+        once = []
+        compile_(lowest, lambda k, kind: once.append((k, kind)) or make(k, kind))(longest[0])
+        assert made == once, longest
 
 
 def reference_fold(n, allowed, start, carry):

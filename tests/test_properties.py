@@ -3,6 +3,7 @@ import io
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,18 +21,18 @@ from hexdomino import (
     validate,
 )
 from hexdomino import cli
-from hexdomino.enumerator import CanonicalRank, _transitions, last_tile_group
+from hexdomino.enumerator import CanonicalRank, _compiled, last_tile_group
 
 
 @st.composite
 def walked(draw, n):
     """A valid n-cell tiling: from each frontier cell, one of its moves in the
-    `_transitions` table, and the index there of each move taken.
+    compiled table, and the index there of each move taken.
 
     Built unsorted, so `validate` checks that the moves place tiles in order."""
     tiles, indices, c = [], [], 1
     while c <= n:
-        moves = _transitions(n, ALL_CLASSES)[c]
+        moves = _compiled(ALL_CLASSES)(n)[c]
         indices.append(draw(st.integers(0, len(moves) - 1)))
         move, c = moves[indices[-1]]
         tiles += move
@@ -76,7 +77,9 @@ def test_rank_orders_tilings_as_the_walk_does(data):
     # lexicographic order of their move indices
     n = data.draw(st.integers(0, 40))
     (a, a_moves), (b, b_moves) = data.draw(walked(n)), data.draw(walked(n))
-    ranking = CanonicalRank(n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("HEXDOMINO_MAX_N", "40")  # past the default cap of 24
+        ranking = CanonicalRank(n)
     rank_a, rank_b = ranking.rank(a.tiles), ranking.rank(b.tiles)
     assert rank_a in range(ranking.total) and rank_b in range(ranking.total)
     assert (rank_a < rank_b) == (a_moves < b_moves)
