@@ -96,8 +96,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     else:
         descriptor = get_identity(args.identity)
         runs = [(descriptor, descriptor.check_range(args.start, args.stop, args.mode))]
-    # Every range error is raised above, before the first record is printed.
+    # Range errors, and any left side's error at its last n, come before the first record.
     # Records stream: each is written, in one call, as soon as it is built.
+    for descriptor, span in runs:
+        descriptor.lhs(span[-1])
     write = sys.stdout.write
     all_ok = True
     for descriptor, span in runs:

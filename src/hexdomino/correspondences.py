@@ -21,38 +21,22 @@ from .enumerator import (
     CanonicalRank, _check_size, _compile, _tile, _walk, count_by_enumeration,
     enumerate_tilings, tally_by_window,
 )
-from .strip_model import Tile, Tiling, to_tokens, validate
+from .strip_model import Tile, Tiling, _KindTile, _Strip, to_tokens, validate
 
 
-class SingleTile(namedtuple("SingleTile", "location kind")):
+class SingleTile(_KindTile):
     """A single-strip tile, checked on construction like `Tile`: "S" covers
     {location}, "D" covers {location-1, location}."""
 
     __slots__ = ()
-
-    def __new__(cls, location: int, kind: str) -> SingleTile:
-        if kind not in _SINGLE_MIN_LOCATION:
-            raise ValueError(f"unknown single-strip tile kind {kind!r}")
-        if location < _SINGLE_MIN_LOCATION[kind]:
-            raise ValueError(
-                f"{kind} tile location must be >= {_SINGLE_MIN_LOCATION[kind]}, got {location}"
-            )
-        return tuple.__new__(cls, (location, kind))
-
-    @classmethod
-    def _make(cls, iterable) -> SingleTile:
-        return cls(*iterable)
+    _lowest, _label = {"S": 1, "D": 2}, "single-strip tile"
 
 
-class SingleStripTiling(namedtuple("SingleStripTiling", "length tiles")):
+class SingleStripTiling(_Strip):
     __slots__ = ()
 
-    @classmethod
-    def of(cls, length: int, tiles) -> SingleStripTiling:
-        return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
 
-
-_SINGLE_MIN_LOCATION = {"S": 1, "D": 2}
+_SINGLE_MIN_LOCATION = SingleTile._lowest
 _single_strip = _compile(_SINGLE_MIN_LOCATION, SingleTile)  # the single strip's tables
 
 

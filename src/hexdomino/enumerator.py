@@ -8,8 +8,10 @@ Horizontal@(c+2) with Horizontal@(c+3).  Each covers exactly the cells from c
 up to the next frontier cell, so the frontier state is the cell c alone, and
 every path places its tiles in location order.
 
-`_compile` finds each cell's moves once per class set, for every length, and
-`_transitions` checks n and hands out the n-cell table, keyed by frontier cell.
+`_compile` finds each cell's moves once per process, for every length and
+class set: `_transitions` checks n and the classes, then reads the n-cell table,
+keyed by frontier cell, off that one compiled strip, and a class set only
+filters it, as the length does.
 `_walk` lists the paths of any such table: all paths that reach a late cell
 share its finishes, built once, so it walks only the early cells and yields
 each path there before every finish.  `enumerate_tilings` walks the tiles;
@@ -76,10 +78,10 @@ def _compile(lowest: dict[str, int], make):
     """Return table(n), the n-cell strip's moves {c: ((tiles, next_c), ...)} keyed
     from c = n down to 1, so each cell comes after the cells its moves lead to.
 
-    A tile of kind K at k covers cells k + 1 - lowest[K] and k.  At frontier c,
-    each kind in `lowest`'s order, laid on the lowest free cell, joins the block
-    if it overlaps nothing and `make(k, K)` is not None; the block grows from its
-    new frontier while a covered cell lies above it, then yields its tiles in
+    A tile of kind K at k, `make(k, K)`, covers cells k + 1 - lowest[K] and k.
+    At frontier c, each kind in `lowest`'s order, laid on the lowest free cell,
+    joins the block if it overlaps nothing; the block grows from its new
+    frontier while a covered cell lies above it, then yields its tiles in
     location order.  Each cell of the endless strip is compiled once, on first
     use; a block ends just below its next cell, so table(n) keeps next_c <= n + 1.
     """
@@ -87,9 +89,9 @@ def _compile(lowest: dict[str, int], make):
     def blocks(free: int, covered: frozenset, tiles: tuple):
         for kind, low in lowest.items():
             k = free + low - 1
-            if k in covered or (tile := make(k, kind)) is None:
+            if k in covered:
                 continue
-            now, next_c = covered | {free, k}, free + 1
+            tile, now, next_c = make(k, kind), covered | {free, k}, free + 1
             while next_c in now:
                 next_c += 1
             if max(now) < next_c:
@@ -104,17 +106,18 @@ def _compile(lowest: dict[str, int], make):
     return table
 
 
-@cache
-def _compiled(class_set: frozenset[str]):
-    """`_compile`'s double-strip tables of the interned tiles of allowed classes."""
-    return _compile(_MIN_LOCATION, lambda k, kind: (
-        tile if (tile := _tile(k, kind)).tile_class in class_set else None))
+_double_strip = _compile(_MIN_LOCATION, _tile)  # the double strip's tables, all classes
 
 
 def _transitions(n: int, classes=ALL_CLASSES) -> dict[int, tuple]:
-    """The n-cell double-strip table of allowed classes; checks n, then the classes."""
+    """The n-cell double-strip table, checked n first, then the classes; a class
+    set filters it like the length, keeping the moves all of whose tiles it allows."""
     _check_size(n)
-    return _compiled(_class_set(classes))(n)
+    class_set, table = _class_set(classes), _double_strip(n)
+    if class_set == ALL_CLASSES:
+        return table
+    return {c: tuple(move for move in moves if all(t.tile_class in class_set for t in move[0]))
+            for c, moves in table.items()}
 
 
 def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:

@@ -36,26 +36,40 @@ class UnbreakableError(ValueError):
     """Raised by split_at when a tile crosses the requested diagonal."""
 
 
-class Tile(namedtuple("Tile", "location kind")):
-    """One tile: its location and its kind, "S", "I" or "H".
+class _KindTile(namedtuple("_KindTile", "location kind")):
+    """A (location, kind) tile of a strip whose `_lowest` table gives each kind's
+    lowest location; checked on construction, and `_make` and `_replace`
+    construct through `__new__` too.  `_label` names the tile in messages."""
 
-    A named tuple, checked on construction; `_make` and `_replace` construct
-    through `__new__` too.  It has an instance `__dict__`, unlike the other
-    value types, because `token` and `cells` are cached in it.
-    """
+    __slots__ = ()
 
-    def __new__(cls, location: int, kind: str) -> Tile:
-        if kind not in _MIN_LOCATION:
-            raise ValueError(f"unknown tile kind {kind!r}")
-        if location < _MIN_LOCATION[kind]:
-            raise ValueError(
-                f"{kind} tile location must be >= {_MIN_LOCATION[kind]}, got {location}"
-            )
+    def __new__(cls, location: int, kind: str):
+        low = cls._lowest.get(kind)
+        if low is None:
+            raise ValueError(f"unknown {cls._label} kind {kind!r}")
+        if location < low:
+            raise ValueError(f"{kind} tile location must be >= {low}, got {location}")
         return tuple.__new__(cls, (location, kind))
 
     @classmethod
-    def _make(cls, iterable) -> Tile:
+    def _make(cls, iterable):
         return cls(*iterable)
+
+
+class _Strip(namedtuple("_Strip", "length tiles")):
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, length: int, tiles):
+        """Canonical constructor: sorts tiles by ascending location."""
+        return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
+
+
+class Tile(_KindTile):
+    """One tile: its location and its kind, "S", "I" or "H".  It has an instance
+    `__dict__`, unlike the other value types, for its cached `token` and `cells`."""
+
+    _lowest, _label = _MIN_LOCATION, "tile"
 
     @property
     def tile_class(self) -> str:
@@ -88,16 +102,11 @@ def cells_of(tile: Tile) -> frozenset[int]:
     return tile.cells
 
 
-class Tiling(namedtuple("Tiling", "length tiles")):
+class Tiling(_Strip):
     """A strip length and its tiles, a named tuple; valid ones list the tiles
     in ascending location (see `validate`)."""
 
     __slots__ = ()
-
-    @classmethod
-    def of(cls, length: int, tiles) -> Tiling:
-        """Canonical constructor: sorts tiles by ascending location."""
-        return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
 
 
 _LOCATION, _CELLS = attrgetter("location"), attrgetter("cells")

@@ -709,14 +709,15 @@ def test_out_of_memory_is_a_one_line_error():
 @pytest.mark.parametrize("argv", [
     ("count", "--n", "99999999999999999999"),
     ("verify", "--identity", "thm8", "--from", "1000000", "--to", "1000000"),
+    ("verify", "--identity", "all", "--from", "0", "--to", "99999999999999999999"),
     ("sequences", "--name", "T", "--from", "0", "--to", "99999999999999999999"),
     ("sequences", "--name", "f", "--from", "0", "--to", "99999999999999999999"),
 ])
 def test_a_memo_past_physical_memory_fails_before_growing(argv):
     # T(10^20), and thm8's T(2,000,000) at about 236 GB, are refused before the
-    # memo grows a term, so the run ends at once and small; a sequence table
-    # whose last term is past memory prints no line, so stdout holds only the
-    # launcher's exit code and peak RSS
+    # memo grows a term, so the run ends at once and small; a sequence table, or
+    # a verify range, whose last term is past memory prints no line, so stdout
+    # holds only the launcher's exit code and peak RSS
     env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
     started = time.monotonic()
     result = subprocess.run(

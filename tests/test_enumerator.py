@@ -1,7 +1,6 @@
 """Enumeration engine: canonical order, restricted families, partitions, crossings."""
 import tracemalloc
 from collections import Counter
-from functools import cache
 from itertools import accumulate, combinations, product
 
 import pytest
@@ -323,16 +322,16 @@ def reference_compile(n, lowest, make):
 
 
 def test_tables_equal_the_per_length_compiler(monkeypatch):
-    # a fresh strip per class set grows cell by cell to 59, then serves the
-    # long strips: 501 grows it, and 500 and 499 read that compile
+    # a fresh strip grows cell by cell to 59, then serves the long strips: 501
+    # grows it, and 500 and 499 read that compile; every class set filters it
     monkeypatch.setenv("HEXDOMINO_MAX_N", "501")
-    monkeypatch.setattr(enumerator, "_compiled", cache(enumerator._compiled.__wrapped__))
-    for classes in CLASS_SETS:
-        def make(k, kind):
-            tile = Tile(k, kind)
-            return tile if tile.tile_class in classes else None
+    monkeypatch.setattr(enumerator, "_double_strip", _compile(_MIN_LOCATION, enumerator._tile))
+    for n in [*range(60), 501, 500, 499]:
+        for classes in CLASS_SETS:
+            def make(k, kind):
+                tile = Tile(k, kind)
+                return tile if tile.tile_class in classes else None
 
-        for n in [*range(60), 501, 500, 499]:
             expected = reference_compile(n, _MIN_LOCATION, make)
             assert list(_transitions(n, classes).items()) == list(expected.items()), (
                 sorted(classes), n)
@@ -342,9 +341,10 @@ def test_tables_equal_the_per_length_compiler(monkeypatch):
         assert list(single(n).items()) == list(expected.items()), n
 
 
-def test_each_cell_is_compiled_once_per_class_set(monkeypatch):
-    # each strip makes the tiles one compile of its longest table makes: had any
-    # cell been compiled twice, it would have made its tiles twice
+def test_each_cell_of_each_geometry_is_compiled_once_per_process(monkeypatch):
+    # each geometry's one strip makes the tiles one compile of its longest table
+    # makes, whatever class sets read it: had any cell been compiled twice, or a
+    # strip compiled per class set, it would have made its tiles twice
     compile_, strips = enumerator._compile, []
 
     def logged(lowest, make):
@@ -363,16 +363,17 @@ def test_each_cell_is_compiled_once_per_class_set(monkeypatch):
         return table
 
     monkeypatch.setattr(enumerator, "_compile", logged)
-    monkeypatch.setattr(enumerator, "_compiled", cache(enumerator._compiled.__wrapped__))
+    monkeypatch.setattr(enumerator, "_double_strip", logged(_MIN_LOCATION, enumerator._tile))
     monkeypatch.setattr(correspondences, "_single_strip", logged(_SINGLE_MIN_LOCATION, SingleTile))
-    list(enumerate_tilings(10))
-    count_by_enumeration(10)
+    for classes in CLASS_SETS:
+        list(enumerate_tilings(10, classes))
+        count_by_enumeration(12, classes)
+        partition_by_first(11, classes)
     CanonicalRank(10)
     assert verify_range("thm8", 3, 12, "oracle").ok
-    count_by_enumeration(10, CLASS_PRESETS["no-squares"])
     list(enumerate_single_strip(9))
     list(enumerate_single_strip(6))
-    assert [longest for *_, longest in strips] == [[9], [24], [10]]  # single, all, no-squares
+    assert [longest for *_, longest in strips] == [[24], [9]]  # double, single
     for lowest, make, made, longest in strips:
         once = []
         compile_(lowest, lambda k, kind: once.append((k, kind)) or make(k, kind))(longest[0])

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexdomino import (
-    ALL_CLASSES,
     Tile,
     Tiling,
     UnbreakableError,
@@ -21,18 +20,18 @@ from hexdomino import (
     validate,
 )
 from hexdomino import cli
-from hexdomino.enumerator import CanonicalRank, _compiled, last_tile_group
+from hexdomino.enumerator import CanonicalRank, _double_strip, last_tile_group
 
 
 @st.composite
 def walked(draw, n):
     """A valid n-cell tiling: from each frontier cell, one of its moves in the
-    compiled table, and the index there of each move taken.
+    compiled strip's n-cell table, and the index there of each move taken.
 
     Built unsorted, so `validate` checks that the moves place tiles in order."""
     tiles, indices, c = [], [], 1
     while c <= n:
-        moves = _compiled(ALL_CLASSES)(n)[c]
+        moves = _double_strip(n)[c]
         indices.append(draw(st.integers(0, len(moves) - 1)))
         move, c = moves[indices[-1]]
         tiles += move
