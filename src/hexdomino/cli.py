@@ -1,7 +1,9 @@
 """Command-line front end: counting, enumeration, rendering, verification.
 
-Exit codes: 0 on success, 1 on usage, parse, cap and out-of-memory errors, 2
-when a verification command ran but found a mismatch, 130 when interrupted.
+Exit codes: 0 on success, 1 on usage, parse, cap and out-of-memory errors and
+failed writes to stdout, 2 when a verification command ran but found a
+mismatch, 130 when interrupted.  `main` returns the code; `entry` ends the
+process with it through `os._exit`, skipping the interpreter's teardown.
 Identical invocations print byte-identical output; machine output is JSONL
 with compact separators.
 
@@ -289,27 +291,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     if set_int_max_str_digits is not None:
         set_int_max_str_digits(0)
     try:
-        args = _quick_parse(argv) or _build_parser().parse_args(argv)
-        code = args.handler(args)
-        sys.stdout.flush()
-        return code
-    except SystemExit as exc:  # --help prints and exits 0 inside argparse
-        return int(exc.code or 0)
-    except BrokenPipeError:
-        # The reader closed stdout (`hexdomino enumerate ... | head`).  Point
-        # stdout at devnull so the interpreter's flush at exit cannot fail too.
+        try:
+            args = _quick_parse(argv) or _build_parser().parse_args(argv)
+            return args.handler(args)
+        except SystemExit as exc:  # --help prints and exits 0 inside argparse
+            return int(exc.code or 0)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, OverflowError) as exc:
+            label = "cap exceeded" if isinstance(exc, CapExceeded) else "error"
+            print(f"{label}: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError:  # e.g. a closed form at a size no memory can hold
+            print("error: out of memory", file=sys.stderr)
+            return 1
+        finally:
+            sys.stdout.flush()  # help and errors leave output too
+    except OSError as exc:
+        # The reader closed stdout (`hexdomino enumerate ... | head`), or the
+        # disk is full.  Point stdout at devnull so no later flush fails too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output ended", file=sys.stderr)
-        return 1
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OverflowError) as exc:
-        label = "cap exceeded" if isinstance(exc, CapExceeded) else "error"
-        print(f"{label}: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:  # e.g. a closed form at a size no memory can hold
-        print("error: out of memory", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("error: stdout was closed before the output ended", file=sys.stderr)
+        else:
+            print(f"error: stdout could not be written: {exc.strerror}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
@@ -317,7 +323,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """Run `main` on the command line and end the process without teardown."""
+    code = main(sys.argv[1:])
+    sys.stdout.flush()  # a no-op unless an interrupt cut main's flush short
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -36,13 +36,12 @@ class SingleStripTiling(_Strip):
     __slots__ = ()
 
 
-_SINGLE_MIN_LOCATION = SingleTile._lowest
-_single_strip = _compile(_SINGLE_MIN_LOCATION, SingleTile)  # the single strip's tables
+_single_strip = _compile(SingleTile._lowest, SingleTile)  # the single strip's tables
 
 
 def enumerate_single_strip(length: int) -> Iterator[SingleStripTiling]:
     """All square/domino tilings of a single strip, count f_length, canonical
-    order: `_compile`, given `_SINGLE_MIN_LOCATION`, covers the lowest free cell
+    order: `_compile`, given `SingleTile._lowest`, covers the lowest free cell
     c with S@c before D@(c+1), so `_walk` lists the tilings with S before D."""
     _check_size(length)
     return map(SingleStripTiling, repeat(length), _walk(_single_strip(length), length, (), ()))

@@ -676,6 +676,61 @@ def test_closed_stdout_is_a_one_line_error():
     assert len(err.splitlines()) <= 1, err.decode()
 
 
+def buffered_env():
+    # stdout into a pipe is then block-buffered, as from a shell
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]), COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "12"),  # 1,490 lines
+    ("--help",),
+    ("count", "--n", "x"),  # a usage error, exit 1
+    ("verify", "--identity", "thm5_printed", "--from", "3", "--to", "6"),  # a mismatch, exit 2
+])
+def test_the_process_prints_and_exits_as_main_returns(argv, capsys, monkeypatch):
+    # the process ends with os._exit, past the interpreter's own flush at exit
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run(capsys, *argv)
+    result = subprocess.run(
+        [sys.executable, "-m", "hexdomino", *argv],
+        capture_output=True, text=True, env=buffered_env(), timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == expected
+
+
+def test_help_into_a_closed_pipe_is_a_one_line_error():
+    # the read end is closed before the process starts, so nothing races the write;
+    # the help text waits in stdout's buffer until the last flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hexdomino", "--help"], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=buffered_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (
+        1, "error: stdout was closed before the output ended\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_full_disk_is_a_one_line_error(unbuffered):
+    # `hexdomino count --n 5 > /dev/full`: the write fails at the last flush, or
+    # at once when stdout is unbuffered (an empty PYTHONUNBUFFERED leaves it buffered)
+    env = dict(buffered_env(), PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "hexdomino", "count", "--n", "5"], stdout=full,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert (result.returncode, result.stderr) == (
+        1, "error: stdout could not be written: No space left on device\n")
+
+
 def test_interrupt_is_a_one_line_error():
     # Ctrl-C during a slow oracle run; wait for the first record so the
     # interpreter is inside the verification loop when the signal lands.

@@ -1,7 +1,7 @@
 """Enumeration engine: canonical order, restricted families, partitions, crossings."""
 import tracemalloc
 from collections import Counter
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
 
 import pytest
 
@@ -31,7 +31,7 @@ from hexdomino import (
 )
 from hexdomino import correspondences, enumerator
 from hexdomino.correspondences import (
-    _SINGLE_MIN_LOCATION, SingleStripTiling, SingleTile, enumerate_single_strip,
+    SingleStripTiling, SingleTile, enumerate_single_strip,
 )
 from hexdomino.enumerator import CanonicalRank, _compile, _token_lines, _transitions
 from hexdomino.identities import verify_range
@@ -285,7 +285,7 @@ def test_restricted_tables_keep_the_allowed_blocks_in_order(monkeypatch):
 
 def test_single_strip_blocks_are_a_square_then_a_domino():
     for n in range(40):
-        table = _compile(_SINGLE_MIN_LOCATION, SingleTile)(n)
+        table = _compile(SingleTile._lowest, SingleTile)(n)
         assert list(table) == list(range(n, 0, -1))
         for c, moves in table.items():
             blocks = [((SingleTile(c, "S"),), c + 1), ((SingleTile(c + 1, "D"),), c + 2)]
@@ -337,7 +337,7 @@ def test_tables_equal_the_per_length_compiler(monkeypatch):
                 sorted(classes), n)
     single = correspondences._single_strip
     for n in range(60):
-        expected = reference_compile(n, _SINGLE_MIN_LOCATION, SingleTile)
+        expected = reference_compile(n, SingleTile._lowest, SingleTile)
         assert list(single(n).items()) == list(expected.items()), n
 
 
@@ -364,7 +364,7 @@ def test_each_cell_of_each_geometry_is_compiled_once_per_process(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_compile", logged)
     monkeypatch.setattr(enumerator, "_double_strip", logged(_MIN_LOCATION, enumerator._tile))
-    monkeypatch.setattr(correspondences, "_single_strip", logged(_SINGLE_MIN_LOCATION, SingleTile))
+    monkeypatch.setattr(correspondences, "_single_strip", logged(SingleTile._lowest, SingleTile))
     for classes in CLASS_SETS:
         list(enumerate_tilings(10, classes))
         count_by_enumeration(12, classes)
@@ -458,8 +458,9 @@ def test_deep_strips_of_one_tiling_share_a_bounded_number_of_finishes(monkeypatc
     for classes in ({SQUARE}, {HORIZONTAL}):
         tracemalloc.start()
         try:
-            assert len(list(enumerate_tilings(3000, classes))) == 1
-            assert len(list(_token_lines(3000, classes))) == 1
+            # two items at most, so a walk that lists more fails instead of running on
+            assert len(list(islice(enumerate_tilings(3000, classes), 2))) == 1
+            assert len(list(islice(_token_lines(3000, classes), 2))) == 1
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
