@@ -1,9 +1,9 @@
 """Command-line front end: counting, enumeration, rendering, verification.
 
-Exit codes: 0 on success, 1 on usage, parse, cap and out-of-memory errors and
-failed writes to stdout, 2 when a verification command ran but found a
-mismatch, 130 when interrupted.  `main` returns the code; `entry` ends the
-process with it through `os._exit`, skipping the interpreter's teardown.
+Exit codes: 0 on success, 1 on usage, parse, cap and out-of-memory errors, a
+closed stdout and failed writes to it, 2 when a verification command ran but
+found a mismatch, 130 when interrupted.  `main` returns the code; `entry` ends
+the process with it through `os._exit`, skipping the interpreter's teardown.
 Identical invocations print byte-identical output; machine output is JSONL
 with compact separators.
 
@@ -270,6 +270,10 @@ def _build_parser():
         def error(self, message: str) -> None:
             raise _UsageError(message)
 
+        def _print_message(self, message: str, file=None) -> None:
+            # argparse drops an OSError from this write (of help); let it reach `main`
+            (file or sys.stderr).write(message)
+
     parser = _Parser(
         prog="hexdomino",
         description="Count, enumerate, and verify square/domino tilings of the "
@@ -285,6 +289,9 @@ def _build_parser():
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        print("error: stdout is closed", file=sys.stderr)
+        return 1
     # Counts are printed in full at any size; CPython otherwise refuses to
     # convert ints of more than 4300 digits to str.
     set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
@@ -325,7 +332,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entry() -> None:
     """Run `main` on the command line and end the process without teardown."""
     code = main(sys.argv[1:])
-    sys.stdout.flush()  # a no-op unless an interrupt cut main's flush short
+    if sys.stdout is not None:
+        sys.stdout.flush()  # a no-op unless an interrupt cut main's flush short
     sys.stderr.flush()
     os._exit(code)
 

@@ -17,9 +17,9 @@ Two entries carry a printed right side that does not equal the left side at
 any valid n: the 2^n-complement identity's first term (printed 2T(n-3), which
 aggregation of its own cases makes 2T(2n-3)) and the odd-length first-inclined
 identity's last factor (printed T(2n-2i+2) where the conditioning yields
-T(2n-2i)).  Both printed forms are registered as provenance "paper-stated"
-next to their "corrected-variant" counterparts; verification demonstrates the
-mismatch instead of silently patching it.
+T(2n-2i)).  Each printed form is registered, as provenance "paper-stated", as
+its "corrected-variant" twin with the printed right side and no partition;
+verification demonstrates the mismatch instead of silently patching it.
 """
 from __future__ import annotations
 
@@ -249,7 +249,7 @@ def _thm2_expected(n: int) -> dict[str, int]:
 
 
 def _thm4_expected(n: int) -> dict[str, int]:
-    groups: dict[str, int] = {ABSENT: 1, "2": tet(n - 2)}
+    groups = {"2": tet(n - 2)}
     for k in range(3, n):
         groups[str(k)] = 2 * tet(n - k) + tet(n - k - 1)
     groups[str(n)] = 2 * tet(0)
@@ -257,20 +257,19 @@ def _thm4_expected(n: int) -> dict[str, int]:
 
 
 def _thm5_expected(n: int) -> dict[str, int]:
-    groups: dict[str, int] = {ABSENT: pow2(n)}
+    groups = {}
     for location in range(3, 2 * n):
+        k = (location + 1) // 2
         if location % 2 == 0:
-            k = location // 2
             groups[str(location)] = pow2(k - 2) * (tet(2 * n - 2 * k) + tet(2 * n - 2 * k - 1))
         else:
-            k = (location + 1) // 2
             groups[str(location)] = pow2(k - 2) * (2 * tet(2 * n - 2 * k + 1) + tet(2 * n - 2 * k))
     groups[str(2 * n)] = pow2(n - 2) * tet(0)
     return groups
 
 
 def _thm6_expected(n: int) -> dict[str, int]:
-    groups: dict[str, int] = {ABSENT: fib(n), "1": tet(2 * n - 1)}
+    groups = {"1": tet(2 * n - 1)}
     for t in range(1, n):
         groups[str(2 * t)] = fib(t - 1) * tet(2 * n - 2 * t - 1)
         groups[str(2 * t + 1)] = fib(t) * tet(2 * n - 2 * t - 1)
@@ -278,20 +277,18 @@ def _thm6_expected(n: int) -> dict[str, int]:
 
 
 def _thm7_expected(n: int) -> dict[str, int]:
-    groups: dict[str, int] = {ABSENT: fib(n)}
-    for k in range(3, n):
-        groups[str(k)] = fib(k - 3) * (tet(n - k) + tet(n - k - 1))
+    groups = {str(k): fib(k - 3) * (tet(n - k) + tet(n - k - 1)) for k in range(3, n)}
     groups[str(n)] = fib(n - 3) * tet(0)
     return groups
 
 
-def _first_inclined_expected(length: int, absent: int) -> dict[str, int]:
+def _first_inclined_expected(length: int) -> dict[str, int]:
     """g(j) T(length-j) for j = 2..length: the tilings whose first inclined tile is at j,
     where g(j) = f(floor(j/2)-1) f(ceil(j/2)-1) counts the tilings of the cells before it."""
-    return {ABSENT: absent, **{
+    return {
         str(j): fib(j // 2 - 1) * fib((j + 1) // 2 - 1) * tet(length - j)
         for j in range(2, length + 1)
-    }}
+    }
 
 
 # --- right sides ---------------------------------------------------------------
@@ -330,148 +327,105 @@ _odd_j = _Stepper(0, (0, 0, 0, 1, 1, 4), lambda L, s: _f_products(s) + tet(L - 3
 _INCLINED = ("right-inclined", "left-inclined")
 
 
+def _first_tile(id, statement, n_lo, strip_length, absent, classes, rhs, groups,
+                provenance=PAPER_STATED) -> IdentityDescriptor:
+    """T(L) - absent(n) = rhs(n), L = strip_length(n): the tilings holding a tile of
+    `classes`, grouped by their first such tile.  `absent(n)` counts the tilings that
+    hold none; `groups(n)` maps each first-tile location to its closed-form count."""
+    return IdentityDescriptor(
+        id, statement, n_lo, provenance, strip_length,
+        lambda n: tet(strip_length(n)) - absent(n), rhs,
+        _partition_oracle(strip_length, classes),
+        lambda n: {ABSENT: absent(n), **groups(n)},
+    )
+
+
+def _lemma(id, statement, preset, strip_length, rhs) -> IdentityDescriptor:
+    """closed_count(preset, strip_length(n)) = rhs(n), for every n >= 0."""
+    return IdentityDescriptor(
+        id, statement, 0, PAPER_STATED, strip_length,
+        lambda n: closed_count(preset, strip_length(n)), rhs,
+        _count_oracle(strip_length, preset),
+    )
+
+
 def _build_registry() -> tuple[IdentityDescriptor, ...]:
     even = lambda n: 2 * n
     odd = lambda n: 2 * n + 1
     same = lambda n: n
+    thm5 = _first_tile(
+        "thm5_corrected",
+        "T(2n) - 2^n = 2 T(2n-3) + sum 2^i T(2n-2i-2) + 5 sum 2^i T(2n-2i-5)",
+        3, even, lambda n: pow2(n), ("horizontal", "left-inclined"),
+        lambda n: 2 * tet(2 * n - 3) + _thm5_tail(n), _thm5_expected, CORRECTED_VARIANT,
+    )
+    thm8c = _first_tile(
+        "thm8c_corrected",
+        "T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i)",
+        2, odd, lambda n: fib(n) * fib(n + 1), _INCLINED,
+        lambda n: _even_j(2 * n + 1) + _odd_j(2 * n + 1),
+        lambda n: _first_inclined_expected(2 * n + 1), CORRECTED_VARIANT,
+    )
     return (
         IdentityDescriptor(
-            id="thm1",
-            statement="T(n) = T(n-1) + T(n-2) + T(n-3) + T(n-4)",
-            n_lo=4, provenance=PAPER_STATED,
-            strip_length=same,
-            lhs=lambda n: tet(n),
-            rhs=lambda n: tet(n - 1) + tet(n - 2) + tet(n - 3) + tet(n - 4),
-            oracle=_thm1_oracle,
-            partition_expected=_thm1_expected,
+            "thm1", "T(n) = T(n-1) + T(n-2) + T(n-3) + T(n-4)", 4, PAPER_STATED, same,
+            lambda n: tet(n), lambda n: tet(n - 1) + tet(n - 2) + tet(n - 3) + tet(n - 4),
+            _thm1_oracle, _thm1_expected,
         ),
         IdentityDescriptor(
-            id="thm2_num",
-            statement="2 T(n-1) = T(n) + T(n-5)",
-            n_lo=6, provenance=PAPER_STATED,
-            strip_length=same,
-            lhs=lambda n: 2 * tet(n - 1),
-            rhs=lambda n: tet(n) + tet(n - 5),
-            oracle=_thm2_oracle,
-            partition_expected=_thm2_expected,
+            "thm2_num", "2 T(n-1) = T(n) + T(n-5)", 6, PAPER_STATED, same,
+            lambda n: 2 * tet(n - 1), lambda n: tet(n) + tet(n - 5),
+            _thm2_oracle, _thm2_expected,
         ),
         IdentityDescriptor(
-            id="thm3",
-            statement="T(2n) = T(n)^2 + T(n-1)^2 + T(n-2)^2 + 2 T(n-1) (T(n-2) + T(n-3))",
-            n_lo=4, provenance=PAPER_STATED,
-            strip_length=even,
-            lhs=lambda n: tet(2 * n),
-            rhs=lambda n: tet(n) ** 2 + tet(n - 1) ** 2 + tet(n - 2) ** 2
+            "thm3", "T(2n) = T(n)^2 + T(n-1)^2 + T(n-2)^2 + 2 T(n-1) (T(n-2) + T(n-3))",
+            4, PAPER_STATED, even, lambda n: tet(2 * n),
+            lambda n: tet(n) ** 2 + tet(n - 1) ** 2 + tet(n - 2) ** 2
             + 2 * tet(n - 1) * (tet(n - 2) + tet(n - 3)),
-            oracle=_thm3_oracle,
-            partition_expected=thm3_expected_histogram,
+            _thm3_oracle, thm3_expected_histogram,
         ),
-        IdentityDescriptor(
-            id="thm4",
-            statement="T(n) - 1 = T(n-2) + 2 T(n-3) + 3 (T(n-4) + ... + T(1) + T(0))",
-            n_lo=5, provenance=PAPER_STATED,
-            strip_length=same,
-            lhs=lambda n: tet(n) - 1,
-            rhs=lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * _thm4_prefix(n),
-            oracle=_partition_oracle(same, (*_INCLINED, "horizontal")),
-            partition_expected=_thm4_expected,
+        _first_tile(
+            "thm4", "T(n) - 1 = T(n-2) + 2 T(n-3) + 3 (T(n-4) + ... + T(1) + T(0))",
+            5, same, lambda n: 1, (*_INCLINED, "horizontal"),
+            lambda n: tet(n - 2) + 2 * tet(n - 3) + 3 * _thm4_prefix(n), _thm4_expected,
         ),
-        IdentityDescriptor(
-            id="lemma1",
-            statement="squares-and-right-inclined tilings of the 2n-strip = 2^n",
-            n_lo=0, provenance=PAPER_STATED,
-            strip_length=even,
-            lhs=lambda n: closed_count("squares-right", 2 * n),
-            rhs=lambda n: pow2(n),
-            oracle=_count_oracle(even, "squares-right"),
+        _lemma(
+            "lemma1", "squares-and-right-inclined tilings of the 2n-strip = 2^n",
+            "squares-right", even, lambda n: pow2(n),
         ),
-        IdentityDescriptor(
+        thm5._replace(
             id="thm5_printed",
             statement="T(2n) - 2^n = 2 T(n-3) + sum 2^i T(2n-2i-2) + 5 sum 2^i T(2n-2i-5)",
-            n_lo=3, provenance=PAPER_STATED,
-            strip_length=even,
-            lhs=lambda n: tet(2 * n) - pow2(n),
-            rhs=lambda n: 2 * tet(n - 3) + _thm5_tail(n),
-            oracle=_partition_oracle(even, ("horizontal", "left-inclined")),
+            provenance=PAPER_STATED, rhs=lambda n: 2 * tet(n - 3) + _thm5_tail(n),
+            partition_expected=None,
         ),
-        IdentityDescriptor(
-            id="thm5_corrected",
-            statement="T(2n) - 2^n = 2 T(2n-3) + sum 2^i T(2n-2i-2) + 5 sum 2^i T(2n-2i-5)",
-            n_lo=3, provenance=CORRECTED_VARIANT,
-            strip_length=even,
-            lhs=lambda n: tet(2 * n) - pow2(n),
-            rhs=lambda n: 2 * tet(2 * n - 3) + _thm5_tail(n),
-            oracle=_partition_oracle(even, ("horizontal", "left-inclined")),
-            partition_expected=_thm5_expected,
+        thm5,
+        _lemma("lemma2", "horizontal-free tilings of the n-strip = f(n)",
+               "no-horizontal", same, lambda n: fib(n)),
+        _lemma("lemma3", "all-domino tilings of the 2n-strip = f(n)",
+               "no-squares", even, lambda n: fib(n)),
+        _first_tile(
+            "thm6", "T(2n) - f(n) = sum_{i=1..n} T(2n+1-2i) f(i)",
+            3, even, lambda n: fib(n), ("square",), _thm6_sum, _thm6_expected,
         ),
-        IdentityDescriptor(
-            id="lemma2",
-            statement="horizontal-free tilings of the n-strip = f(n)",
-            n_lo=0, provenance=PAPER_STATED,
-            strip_length=same,
-            lhs=lambda n: closed_count("no-horizontal", n),
-            rhs=lambda n: fib(n),
-            oracle=_count_oracle(same, "no-horizontal"),
+        _first_tile(
+            "thm7", "T(n) - f(n) = sum_{i=1..n-2} f(i) T(n-i-2)",
+            5, same, lambda n: fib(n), ("horizontal",), _thm7_sum, _thm7_expected,
         ),
-        IdentityDescriptor(
-            id="lemma3",
-            statement="all-domino tilings of the 2n-strip = f(n)",
-            n_lo=0, provenance=PAPER_STATED,
-            strip_length=even,
-            lhs=lambda n: closed_count("no-squares", 2 * n),
-            rhs=lambda n: fib(n),
-            oracle=_count_oracle(even, "no-squares"),
+        _first_tile(
+            "thm8", "T(2n) - f(n)^2 = sum f(i-1)^2 T(2n-2i) + sum f(i-2) f(i-1) T(2n-2i+1)",
+            3, even, lambda n: fib(n) ** 2, _INCLINED,
+            lambda n: _even_j(2 * n) + _odd_j(2 * n), lambda n: _first_inclined_expected(2 * n),
         ),
-        IdentityDescriptor(
-            id="thm6",
-            statement="T(2n) - f(n) = sum_{i=1..n} T(2n+1-2i) f(i)",
-            n_lo=3, provenance=PAPER_STATED,
-            strip_length=even,
-            lhs=lambda n: tet(2 * n) - fib(n),
-            rhs=_thm6_sum,
-            oracle=_partition_oracle(even, ("square",)),
-            partition_expected=_thm6_expected,
-        ),
-        IdentityDescriptor(
-            id="thm7",
-            statement="T(n) - f(n) = sum_{i=1..n-2} f(i) T(n-i-2)",
-            n_lo=5, provenance=PAPER_STATED,
-            strip_length=same,
-            lhs=lambda n: tet(n) - fib(n),
-            rhs=_thm7_sum,
-            oracle=_partition_oracle(same, ("horizontal",)),
-            partition_expected=_thm7_expected,
-        ),
-        IdentityDescriptor(
-            id="thm8",
-            statement="T(2n) - f(n)^2 = sum f(i-1)^2 T(2n-2i) + sum f(i-2) f(i-1) T(2n-2i+1)",
-            n_lo=3, provenance=PAPER_STATED,
-            strip_length=even,
-            lhs=lambda n: tet(2 * n) - fib(n) ** 2,
-            rhs=lambda n: _even_j(2 * n) + _odd_j(2 * n),
-            oracle=_partition_oracle(even, _INCLINED),
-            partition_expected=lambda n: _first_inclined_expected(2 * n, fib(n) ** 2),
-        ),
-        IdentityDescriptor(
+        thm8c._replace(
             id="thm8c_printed",
             statement="T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i+2)",
-            n_lo=2, provenance=PAPER_STATED,
-            strip_length=odd,
-            lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
+            provenance=PAPER_STATED,
             # even j against T(2n+1-j), odd j = 3..2n+1 against T(2n+3-j)
             rhs=lambda n: _even_j(2 * n + 1) + _odd_j(2 * n + 3) - fib(n) * fib(n + 1),
-            oracle=_partition_oracle(odd, _INCLINED),
+            partition_expected=None,
         ),
-        IdentityDescriptor(
-            id="thm8c_corrected",
-            statement="T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i)",
-            n_lo=2, provenance=CORRECTED_VARIANT,
-            strip_length=odd,
-            lhs=lambda n: tet(2 * n + 1) - fib(n) * fib(n + 1),
-            rhs=lambda n: _even_j(2 * n + 1) + _odd_j(2 * n + 1),
-            oracle=_partition_oracle(odd, _INCLINED),
-            partition_expected=lambda n: _first_inclined_expected(2 * n + 1, fib(n) * fib(n + 1)),
-        ),
+        thm8c,
     )
 
 

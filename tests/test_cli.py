@@ -700,15 +700,18 @@ def test_the_process_prints_and_exits_as_main_returns(argv, capsys, monkeypatch)
     assert (result.returncode, result.stdout, result.stderr) == expected
 
 
-def test_help_into_a_closed_pipe_is_a_one_line_error():
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_help_into_a_closed_pipe_is_a_one_line_error(unbuffered):
     # the read end is closed before the process starts, so nothing races the write;
-    # the help text waits in stdout's buffer until the last flush
+    # the help text waits in stdout's buffer until the last flush, or fails at once
+    # when stdout is unbuffered, inside argparse's own write
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         result = subprocess.run(
             [sys.executable, "-m", "hexdomino", "--help"], stdout=write_end,
-            stderr=subprocess.PIPE, text=True, env=buffered_env(), timeout=60,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(buffered_env(), PYTHONUNBUFFERED=unbuffered),
         )
     finally:
         os.close(write_end)
@@ -717,18 +720,37 @@ def test_help_into_a_closed_pipe_is_a_one_line_error():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_a_full_disk_is_a_one_line_error(unbuffered):
+@pytest.mark.parametrize("argv, unbuffered", [
+    (("count", "--n", "5"), ""),
+    (("count", "--n", "5"), "1"),
+    (("--help",), ""),
+    (("--help",), "1"),
+], ids=["", "1", "help", "help-unbuffered"])
+def test_a_full_disk_is_a_one_line_error(argv, unbuffered):
     # `hexdomino count --n 5 > /dev/full`: the write fails at the last flush, or
     # at once when stdout is unbuffered (an empty PYTHONUNBUFFERED leaves it buffered)
     env = dict(buffered_env(), PYTHONUNBUFFERED=unbuffered)
     with open("/dev/full", "w") as full:
         result = subprocess.run(
-            [sys.executable, "-m", "hexdomino", "count", "--n", "5"], stdout=full,
+            [sys.executable, "-m", "hexdomino", *argv], stdout=full,
             stderr=subprocess.PIPE, text=True, env=env, timeout=60,
         )
     assert (result.returncode, result.stderr) == (
         1, "error: stdout could not be written: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "5"),
+    ("enumerate", "--n", "5"),
+    ("verify", "--identity", "thm4", "--from", "5", "--to", "6"),
+], ids=["count", "enumerate", "verify"])
+def test_a_closed_stdout_descriptor_is_a_one_line_error(argv):
+    # `hexdomino count --n 5 >&-`: Python starts with sys.stdout set to None
+    result = subprocess.run(
+        [sys.executable, "-m", "hexdomino", *argv], preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE, text=True, env=buffered_env(), timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (1, "error: stdout is closed\n")
 
 
 def test_interrupt_is_a_one_line_error():

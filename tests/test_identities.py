@@ -162,6 +162,40 @@ def test_registry_lower_bounds():
         evaluate(descriptor.id, 500)
 
 
+def test_each_printed_misprint_is_its_corrected_twin_with_the_printed_right_side():
+    for printed_id in PRINTED_MISMATCHES:
+        printed = get_identity(printed_id)
+        corrected = get_identity(printed_id.replace("_printed", "_corrected"))
+        for field in ("lhs", "strip_length", "oracle"):
+            assert getattr(printed, field) is getattr(corrected, field), (printed_id, field)
+        assert printed.n_lo == corrected.n_lo
+        assert printed.provenance == "paper-stated" and printed.partition_expected is None
+
+
+FIRST_TILE = ("thm4", "thm5_corrected", "thm6", "thm7", "thm8", "thm8c_corrected")
+
+
+def test_each_first_tile_left_side_is_t_less_its_absent_group():
+    # tilings holding a tile of the tracked classes = all tilings - those holding none
+    for identity_id in FIRST_TILE:
+        descriptor = get_identity(identity_id)
+        for n in range(descriptor.n_lo, descriptor.n_lo + 41):
+            groups = descriptor.partition_expected(n)
+            assert next(iter(groups)) == ABSENT, identity_id
+            assert descriptor.lhs(n) == tet(descriptor.strip_length(n)) - groups[ABSENT], (
+                identity_id, n)
+
+
+def test_each_lemma_left_side_is_the_closed_count_of_its_preset():
+    lemmas = {"lemma1": ("squares-right", 2), "lemma2": ("no-horizontal", 1),
+              "lemma3": ("no-squares", 2)}
+    for identity_id, (preset, cells_per_n) in lemmas.items():
+        descriptor = get_identity(identity_id)
+        for n in range(41):
+            assert descriptor.strip_length(n) == cells_per_n * n, (identity_id, n)
+            assert descriptor.lhs(n) == closed_count(preset, cells_per_n * n), (identity_id, n)
+
+
 def test_get_identity_unknown():
     with pytest.raises(ValueError):
         get_identity("thm9")
