@@ -38,6 +38,7 @@ from .sequences import (
 # On unbuffered stdout (`python -u`, PYTHONUNBUFFERED) a `print` per line
 # costs two system calls, and on a terminal one.
 _BLOCK_LINES = 1024
+_BLOCK_CHARS = 65536  # closed `verify` blocks, whose lines run from 78 characters to kilobytes
 
 
 def _write_lines(lines: Iterable[str]) -> None:
@@ -96,19 +97,25 @@ def _cmd_verify(args: SimpleNamespace) -> int:
                 f"inside its stated range{limit}"
             )
     else:
-        descriptor = get_identity(args.identity)
-        runs = [(descriptor, descriptor.check_range(args.start, args.stop, args.mode))]
+        try:
+            descriptor = get_identity(args.identity)
+            runs = [(descriptor, descriptor.check_range(args.start, args.stop, args.mode))]
+        except ValueError as exc:  # an unknown id or a range outside the stated one; not the cap
+            raise exc if isinstance(exc, CapExceeded) else _UsageError(str(exc)) from None
     # Range errors, and any left side's error at its last n, come before the first record.
-    # Records stream: each is written, in one call, as soon as it is built.
     for descriptor, span in runs:
         descriptor.lhs(span[-1])
-    write = sys.stdout.write
-    all_ok = True
+    # Closed records go out in blocks of whole lines; each oracle record as soon as it is built.
+    text, all_ok = "", True
     for descriptor, span in runs:
-        for n in span:
-            line, checks_ok, ok = descriptor.record(n, args.mode)._line_and_checks()
-            write(line + "\n")
+        for line, checks_ok, ok in descriptor.lines(span, args.mode):
+            text += line + "\n"
             all_ok = all_ok and (checks_ok if args.expect_mismatch else ok)
+            if args.mode == "oracle" or len(text) >= _BLOCK_CHARS:
+                sys.stdout.write(text)
+                text = ""
+    if text:
+        sys.stdout.write(text)
     return 0 if all_ok else 2
 
 

@@ -24,7 +24,7 @@ verification demonstrates the mismatch instead of silently patching it.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .sequences import (
     CapExceeded,
@@ -110,6 +110,23 @@ class IdentityDescriptor(namedtuple(
             groups = _group_checks(self.partition_expected(n), outcome.groups)
         return IdentityRecord(self.id, n, lhs, rhs, mode, oracle_total=outcome.total, groups=groups)
 
+    def lines(self, span: range, mode: str) -> Iterator[tuple[str, bool, bool]]:
+        """`record(n, mode)._line_and_checks()` for each n; closed lines skip the record."""
+        if mode == "oracle":
+            return (self.record(n, mode)._line_and_checks() for n in span)
+        id, lhs, rhs = self.id, self.lhs, self.rhs
+        return (_json_line(id, n, lhs(n), rhs(n), mode) for n in span)
+
+
+def _json_line(id, n, lhs, rhs, mode, checks=True, extra="") -> tuple[str, bool, bool]:
+    """A record's JSONL line, `checks_ok` and `ok`; `extra` holds the oracle fields."""
+    equal = lhs == rhs
+    ok = equal and checks
+    lhs = "%d" % lhs  # time quadratic in the digits, so an equal rhs reuses this text
+    return '{"id":"%s","n":%d,"lhs":"%s","rhs":"%s","equal":%s,"mode":"%s"%s,"ok":%s}' % (
+        id, n, lhs, lhs if equal else "%d" % rhs, _JSON_BOOL[equal], mode, extra, _JSON_BOOL[ok]
+    ), checks, ok
+
 
 class GroupCheck(namedtuple("GroupCheck", "key expected observed")):
     __slots__ = ()
@@ -147,23 +164,14 @@ class IdentityRecord(namedtuple(
 
     def _line_and_checks(self) -> tuple[str, bool, bool]:
         """`to_json_line`, `checks_ok` and `ok`, each worked out once."""
-        equal = self.lhs == self.rhs
-        lhs = "%d" % self.lhs
-        # the decimal text of a big count costs time quadratic in its digits
-        rhs = lhs if equal else "%d" % self.rhs
-        line = '{"id":"%s","n":%d,"lhs":"%s","rhs":"%s","equal":%s,"mode":"%s"' % (
-            self.id, self.n, lhs, rhs, _JSON_BOOL[equal], self.mode)
-        checks = self.checks_ok
-        if self.oracle_total is not None:
-            line += ',"oracle_total":"%d"' % self.oracle_total
+        extra = "" if self.oracle_total is None else ',"oracle_total":"%d"' % self.oracle_total
         if self.groups is not None:
-            line += ',"groups":[%s]' % ",".join(
+            extra += ',"groups":[%s]' % ",".join(
                 '{"key":"%s","expected":"%d","observed":"%d","match":%s}'
                 % (g.key, g.expected, g.observed, _JSON_BOOL[g.match])
                 for g in self.groups
             )
-        ok = equal and checks
-        return line + ',"ok":%s}' % _JSON_BOOL[ok], checks, ok
+        return _json_line(self.id, self.n, self.lhs, self.rhs, self.mode, self.checks_ok, extra)
 
     def to_json_dict(self) -> dict:
         """The line `to_json_line` builds, parsed."""

@@ -66,12 +66,12 @@ class _Strip(namedtuple("_Strip", "length tiles")):
 
 
 class Tile(_KindTile):
-    """One tile: its location and its kind, "S", "I" or "H".  It has an instance
-    `__dict__`, unlike the other value types, for its cached `token` and `cells`."""
+    """One tile: its location and its kind, "S", "I" or "H".  Unlike the other value
+    types it has an instance `__dict__`, for its cached `tile_class`, `token` and `cells`."""
 
     _lowest, _label = _MIN_LOCATION, "tile"
 
-    @property
+    @cached_property
     def tile_class(self) -> str:
         if self.kind == "S":
             return SQUARE

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hexdomino
-from hexdomino import identities, tetranacci
+from hexdomino import cli, identities, tetranacci
 from hexdomino.cli import main
 
 GOLDEN_N4 = [
@@ -343,7 +343,6 @@ def test_verify_prints_each_record_before_computing_the_next(monkeypatch):
             return super().write(text)
 
     for argv, expected_code in (
-        (("--identity", "all", "--from", "0", "--to", "8"), 2),  # the printed variants differ
         (("--identity", "thm4", "--mode", "oracle", "--from", "5", "--to", "9"), 0),
     ):
         events.clear()
@@ -357,6 +356,57 @@ def test_verify_prints_each_record_before_computing_the_next(monkeypatch):
         assert events.count("write") == len(lines)  # one write call per record
 
 
+def test_closed_verify_writes_whole_lines_in_blocks(monkeypatch):
+    events = []  # ("compute", None) per left side evaluated, ("write", lines) per write
+
+    def logged(descriptor):
+        def lhs(n):
+            events.append(("compute", None))
+            return descriptor.lhs(n)
+        return descriptor._replace(lhs=lhs)
+
+    registry = tuple(logged(d) for d in identities.list_identities())
+    monkeypatch.setattr(identities, "_REGISTRY", registry)
+    monkeypatch.setattr(identities, "_BY_ID", {d.id: d for d in registry})
+
+    class LoggedStdout(io.StringIO):
+        def write(self, text):
+            events.append(("write", text.count("\n")))
+            # whole lines only, the last one pushing the block to _BLOCK_CHARS
+            assert text.endswith("\n")
+            assert len(text) - len(text[:-1].rpartition("\n")[2]) - 1 < cli._BLOCK_CHARS
+            return super().write(text)
+
+    stdout = LoggedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["verify", "--identity", "all", "--from", "0", "--to", "300"]) == 2
+    out = stdout.getvalue()
+    lines = out.splitlines()
+    assert len(lines) == 4174 and cli._BLOCK_CHARS == 65536
+    writes = [count for kind, count in events if kind == "write"]
+    assert sum(writes) == len(lines)
+    assert 1 < len(writes) <= -(-len(out) // cli._BLOCK_CHARS) + 1
+    # each block holds exactly the records computed since the previous write; the
+    # first group also holds each identity's check of its last n
+    groups = [(kind, len(list(run))) for kind, run in itertools.groupby(e[0] for e in events)]
+    assert [kind for kind, _ in groups] == ["compute", "write"] * len(writes)
+    computed = [count for kind, count in groups if kind == "compute"]
+    assert computed == [writes[0] + len(registry), *writes[1:]]
+
+
+def test_closed_verify_builds_no_identity_record(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed verify built an IdentityRecord")
+
+    monkeypatch.setattr(identities, "IdentityRecord", forbidden)
+    argv = ("verify", "--identity", "all", "--from", "0", "--to", "60", "--expect-mismatch")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+    code, out, err = run(capsys, "verify", "--identity", "thm5_printed", "--from", "3", "--to", "9")
+    assert (code, err, out.count('"ok":false')) == (2, "", 7)
+
+
 # sha256 of stdout for fixed commands: any change to these bytes changes the
 # output contract that scripts reading the JSONL rely on.
 STDOUT_SHA256 = {
@@ -365,6 +415,9 @@ STDOUT_SHA256 = {
     # closed sums near n = 1000, with their memos grown from n = 990 up
     ("verify", "--identity", "all", "--from", "990", "--to", "1000", "--expect-mismatch"):
         "d30c3ca5b5dcf4cdf8530d47afa1cc2bbd52d140a420252e3ace1763ac970501",
+    # the closed benchmark workload: lines of 78 to 433 characters, in 64 KiB blocks
+    ("verify", "--identity", "all", "--from", "0", "--to", "300", "--expect-mismatch"):
+        "3644ae28cd6d3d28bfbd281b252fd1faec11970369f178a95f3eb8fd71735eca",
     # every closed sum stepped across n = 0..1000: the run the README times
     ("verify", "--identity", "all", "--from", "0", "--to", "1000", "--expect-mismatch"):
         "ade276739d488087083715479724380d7d008c97b4a3728b69ebada82cbc492c",
@@ -453,6 +506,24 @@ def test_verify_unknown_identity(capsys):
     code, _, err = run(capsys, "verify", "--identity", "thm9", "--from", "3", "--to", "4")
     assert code == 1
     assert "unknown identity" in err
+
+
+def test_single_identity_argument_errors_are_usage_errors(capsys, monkeypatch):
+    monkeypatch.delenv("HEXDOMINO_MAX_N", raising=False)
+    known = ", ".join(sorted(d.id for d in identities.list_identities()))
+    for argv, err in (
+        (("thm4", "--from", "5", "--to", "4"), "usage error: empty range: lo=5 > hi=4\n"),
+        (("thm4", "--from", "3", "--to", "6"),
+         "usage error: thm4 is stated for 5 <= n <= inf, got n=3\n"),
+        (("thm9", "--from", "3", "--to", "4"),
+         f"usage error: unknown identity 'thm9'; known: {known}\n"),
+        (("thm3", "--from", "4", "--to", "20", "--mode", "oracle"),
+         "cap exceeded: thm3 at n=20 needs a 40-cell enumeration, cap is 24\n"),
+    ):
+        assert run(capsys, "verify", "--identity", *argv) == (1, "", err), argv
+    # the library keeps its ValueErrors
+    with pytest.raises(ValueError, match="empty range"):
+        identities.verify_range("thm4", 5, 4)
 
 
 def test_verify_output_is_deterministic(capsys):

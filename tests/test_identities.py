@@ -22,6 +22,7 @@ from hexdomino import (
     verify_range,
 )
 from hexdomino import identities
+from hexdomino.cli import main
 from hexdomino.enumerator import last_tile_group
 from hexdomino.identities import ABSENT, GroupCheck, IdentityRecord
 
@@ -444,6 +445,15 @@ def test_json_line_is_the_reference_encoding():
         assert line == json.dumps(reference_dict(record), separators=(",", ":")), (
             record.id, record.n, record.mode)
         assert record.to_json_dict() == reference_dict(record)
+
+
+def test_closed_cli_lines_are_the_records_lines(capsys):
+    argv = ["verify", "--identity", "all", "--from", "0", "--to", "120", "--expect-mismatch"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    records = [r for d in list_identities() for r in verify_range(d.id, d.n_lo, 120).records]
+    assert lines == [record.to_json_line() for record in records]
+    assert lines == [json.dumps(reference_dict(r), separators=(",", ":")) for r in records]
 
 
 def test_ids_and_group_keys_need_no_json_escaping():
