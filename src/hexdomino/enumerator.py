@@ -17,12 +17,11 @@ share its finishes, built once, so it walks only the early cells and yields
 each path there before every finish.  `enumerate_tilings` walks the tiles;
 `_token_lines` walks a copy holding each move's tokens as text, so the CLI's
 `enumerate` builds no tiling and joins no tokens.  Counting never lists a path:
-`_ways` counts the paths from every cell to the end in one backward pass over
-the table (the transfer-matrix method), `count_by_enumeration` and
-`CanonicalRank` read it, and `partition_by_first` splits every path at its
-first tracked tile with one forward pass over tracked-free moves.  Only
-`tally_by_window` keys its backward pass by more than a count.  So their cost
-grows with n, not with the tilings, and none reads the recurrence it checks.
+`_ways`, the one backward pass, counts the ways to finish from every cell (the
+transfer-matrix method).  Partitions and windows are forward first-passage passes
+from cell 1, stopping each path at its first tracked tile or past the window and
+weighing it by the ways to finish from there.  So their cost grows with n, not
+with the tilings, and none reads the recurrence it checks.
 """
 from __future__ import annotations
 
@@ -219,21 +218,22 @@ def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
     """Count the tilings of the n-cell strip by `classify` of their window.
 
     A window is Tiling(n, ...) holding only the tiles located in lo..hi, so
-    `classify` must read nothing else; it runs once per distinct window.  A
-    backward pass maps each frontier cell to {window of a finish: its count},
-    prefixing each move's own tiles in lo..hi to the windows of its next cell.
+    `classify` must read nothing else; it runs once per distinct window.  Paths
+    stop at their first cell c past min(hi, n), each counting ways[c] tilings.
     """
-    rests: dict[int, dict] = {n + 1: {(): 1}}
-    for c, moves in _transitions(n).items():
-        windows: dict = {}
-        for tiles, next_c in moves:
+    table, end = _transitions(n), min(hi, n)
+    ways, heads, windows, tally = _ways(table, n), {1: {(): 1}}, {}, {}
+    for c in range(1, end + 1):  # paths from cell 1, each move adding its tiles in lo..hi
+        reached = heads.pop(c)
+        for tiles, next_c in table[c]:
             own = tuple(tile for tile in tiles if lo <= tile.location <= hi)
-            for rest, count in rests[next_c].items():
-                window = own + rest
-                windows[window] = windows.get(window, 0) + count
-        rests[c] = windows
-    tally: dict = {}
-    for window, count in rests[1].items():
+            head = heads.setdefault(next_c, {})
+            for window, paths in reached.items():
+                head[window + own] = head.get(window + own, 0) + paths
+    for c, reached in heads.items():  # first cells past min(hi, n): no later tile is in lo..hi
+        for window, paths in reached.items():
+            windows[window] = windows.get(window, 0) + paths * ways[c]
+    for window, count in windows.items():
         key = classify(Tiling(n, window))
         tally[key] = tally.get(key, 0) + count
     return tally

@@ -2,6 +2,7 @@
 import tracemalloc
 from collections import Counter
 from itertools import accumulate, combinations, islice, product
+from operator import attrgetter
 
 import pytest
 
@@ -33,7 +34,9 @@ from hexdomino import correspondences, enumerator
 from hexdomino.correspondences import (
     SingleStripTiling, SingleTile, enumerate_single_strip,
 )
-from hexdomino.enumerator import CanonicalRank, _compile, _token_lines, _transitions
+from hexdomino.enumerator import (
+    CanonicalRank, _compile, _token_lines, _transitions, last_tile_group,
+)
 from hexdomino.identities import verify_range
 from hexdomino.strip_model import _MIN_LOCATION
 
@@ -436,6 +439,60 @@ def test_count_partition_and_window_passes_equal_the_reference_fold(monkeypatch)
 def test_passes_equal_the_reference_fold_on_long_strips(monkeypatch, n):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "501")
     assert_passes_equal_the_reference_fold(n)
+
+
+def reference_tally(n, lo, hi, classify):
+    """The backward window fold the forward first-passage tally replaced, kept
+    verbatim as its reference: each frontier cell maps to {window of a finish:
+    its count}, each move's own tiles in lo..hi prefixed to its next cell's windows."""
+    rests: dict[int, dict] = {n + 1: {(): 1}}
+    for c, moves in _transitions(n).items():
+        windows: dict = {}
+        for tiles, next_c in moves:
+            own = tuple(tile for tile in tiles if lo <= tile.location <= hi)
+            for rest, count in rests[next_c].items():
+                window = own + rest
+                windows[window] = windows.get(window, 0) + count
+        rests[c] = windows
+    tally: dict = {}
+    for window, count in rests[1].items():
+        key = classify(Tiling(n, window))
+        tally[key] = tally.get(key, 0) + count
+    return tally
+
+
+def assert_tally_equals_the_reference(n, lo, hi, classify=attrgetter("tiles")):
+    windows = []
+    tally = enumerator.tally_by_window(
+        n, lo, hi, lambda tiling: windows.append(tiling.tiles) or classify(tiling))
+    assert tally == reference_tally(n, lo, hi, classify), (n, lo, hi)
+    assert len(windows) == len(set(windows)), (n, lo, hi)  # classified once per distinct window
+
+
+def test_window_tally_equals_the_backward_fold_on_every_window():
+    # windows that start or end off the strip, empty ones (hi < lo) and n = 0 included
+    for n in range(14):
+        for lo in range(-2, n + 4):
+            for hi in range(lo - 2, n + 4):
+                assert_tally_equals_the_reference(n, lo, hi)
+
+
+@pytest.mark.parametrize("ns", [range(14, 31), range(31, 40)])
+def test_window_tally_equals_the_backward_fold_on_narrow_windows(monkeypatch, ns):
+    # a full-width window has T(n) distinct values here, so the width stays small
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "39")
+    for n in ns:
+        for lo in range(-2, n + 4):
+            for hi in range(lo - 1, lo + 6):
+                assert_tally_equals_the_reference(n, lo, hi)
+
+
+@pytest.mark.parametrize("n", [499, 500, 501])
+def test_window_tally_equals_the_backward_fold_on_long_strips(monkeypatch, n):
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "501")
+    assert_tally_equals_the_reference(n, n - 1, n, last_tile_group)
+    diagonal = classify_diagonal if n % 2 == 0 else attrgetter("tiles")
+    assert_tally_equals_the_reference(n, n // 2, n // 2 + 3, diagonal)
 
 
 def test_deep_strips_fold_without_recursion(monkeypatch):
