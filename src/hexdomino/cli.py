@@ -7,9 +7,11 @@ the process with it through `os._exit`, skipping the interpreter's teardown.
 Identical invocations print byte-identical output; machine output is JSONL
 with compact separators.
 
-Each handler imports the layers it runs, so a process loads only those:
-`count` and `sequences` load `sequences` alone, closed `verify` adds
-`identities`, and only enumerating commands load the tile geometry.
+The CLI parses, dispatches and writes; the work lives in the layers, each
+bijection's harness with its map in `correspondences`.  Each handler imports
+the layers it runs, so a process loads only those: `count` and `sequences`
+load `sequences` alone, closed `verify` adds `identities`, and only
+enumerating commands load the tile geometry.
 
 One option table, `_SPEC`, serves two parsers.  `_quick_parse` reads a
 command line spelled in full, with each flag once, and loads nothing.  Every
@@ -119,64 +121,14 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     return 0 if all_ok else 2
 
 
-def _bijection_payload(name: str, n: int) -> dict:
-    from .correspondences import (
-        enumerate_single_strip,
-        lemma2_from_single,
-        lemma2_to_single,
-        lemma3_from_single,
-        lemma3_to_single,
-        thm2_verify,
-    )
-    from .enumerator import CLASS_PRESETS, enumerate_tilings
-
-    if name == "thm2":
-        report = thm2_verify(n)
-        return {
-            "name": "thm2",
-            "n": n,
-            "inputs": report.inputs,
-            "outputs": report.outputs,
-            "expected_total": report.expected_total,
-            "missing": len(report.missing),
-            "duplicated": len(report.duplicated),
-            "ok": report.ok,
-        }
-    if name == "lemma2":
-        length, preset = n, "no-horizontal"
-        forward, backward = lemma2_to_single, lemma2_from_single
-    else:
-        length, preset = 2 * n, "no-squares"
-        forward, backward = lemma3_to_single, lemma3_from_single
-    domain = 0
-    round_trip_ok = 0
-    image = set()
-    for tiling in enumerate_tilings(length, CLASS_PRESETS[preset]):
-        domain += 1
-        single = forward(tiling)
-        image.add(single)
-        if backward(single) == tiling:
-            round_trip_ok += 1
-    codomain = set(enumerate_single_strip(n))
-    image_complete = len(image) == domain and image == codomain
-    return {
-        "name": name,
-        "n": n,
-        "strip_cells": length,
-        "domain": domain,
-        "codomain": len(codomain),
-        "round_trip_ok": round_trip_ok,
-        "image_complete": image_complete,
-        "ok": domain == round_trip_ok and image_complete,
-    }
-
-
 def _cmd_bijection(args: SimpleNamespace) -> int:
     _at_least("--n", args.n, 5 if args.name == "thm2" else 0)
     import json  # the only command that builds a JSON line from a dict
-    payload = _bijection_payload(args.name, args.n)
-    print(json.dumps(payload, separators=(",", ":")))
-    return 0 if payload["ok"] else 2
+    from .correspondences import _bijection_report
+
+    report = _bijection_report(args.name, args.n)
+    print(json.dumps(report, separators=(",", ":")))
+    return 0 if report["ok"] else 2
 
 
 def _cmd_sequences(args: SimpleNamespace) -> int:

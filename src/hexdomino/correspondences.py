@@ -1,6 +1,7 @@
 """Executable correspondences between tiling families.
 
-Three maps, each with a verification harness:
+Three maps, each with a verification harness (`_bijection_report` runs one
+and builds the report the `bijection` command prints):
 
 * a 1-to-2 map sending each (n-1)-strip tiling to one n-strip tiling and one
   tiling of length n or n-5, covering both targets exactly once (the
@@ -18,7 +19,7 @@ from itertools import chain, repeat
 from operator import attrgetter
 
 from .enumerator import (
-    CanonicalRank, _check_size, _compile, _tile, _walk, count_by_enumeration,
+    CLASS_PRESETS, CanonicalRank, _check_size, _compile, _tile, _walk, count_by_enumeration,
     enumerate_tilings, tally_by_window,
 )
 from .strip_model import Tile, Tiling, _KindTile, _Strip, to_tokens, validate
@@ -252,3 +253,45 @@ def lemma3_from_single(single: SingleStripTiling) -> Tiling:
             tiles.append(Tile(2 * t.location - 1, "H"))
             tiles.append(Tile(2 * t.location, "H"))
     return Tiling.of(2 * single.length, tiles)
+
+
+def _bijection_report(name: str, n: int) -> dict:
+    """thm2's cover counts, or a lemma map's round trips and image over its family."""
+    if name == "thm2":
+        report = thm2_verify(n)
+        return {
+            "name": "thm2",
+            "n": n,
+            "inputs": report.inputs,
+            "outputs": report.outputs,
+            "expected_total": report.expected_total,
+            "missing": len(report.missing),
+            "duplicated": len(report.duplicated),
+            "ok": report.ok,
+        }
+    if name == "lemma2":
+        length, preset = n, "no-horizontal"
+        forward, backward = lemma2_to_single, lemma2_from_single
+    else:
+        length, preset = 2 * n, "no-squares"
+        forward, backward = lemma3_to_single, lemma3_from_single
+    domain = round_trip_ok = 0
+    image = set()
+    for tiling in enumerate_tilings(length, CLASS_PRESETS[preset]):
+        domain += 1
+        single = forward(tiling)
+        image.add(single)
+        if backward(single) == tiling:
+            round_trip_ok += 1
+    codomain = set(enumerate_single_strip(n))
+    image_complete = len(image) == domain and image == codomain
+    return {
+        "name": name,
+        "n": n,
+        "strip_cells": length,
+        "domain": domain,
+        "codomain": len(codomain),
+        "round_trip_ok": round_trip_ok,
+        "image_complete": image_complete,
+        "ok": domain == round_trip_ok and image_complete,
+    }

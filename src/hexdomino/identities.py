@@ -322,14 +322,17 @@ class _Stepper:
 
 # Each sum steps by its weights' own recurrence, never by T's: a prefix sum (thm4), Horner's
 # rule in 2^i (thm5's two sums), f(i) = f(i-1) + f(i-2) (thm6, thm7).  The thm8 family sums
-# g(j) T(L-j) over even and odd first-inclined j apart: g(2k) = f(k-1)^2, g(2k+1) = f(k-1) f(k).
-_f_products = lambda s: 2 * (s[-2] + s[-4]) - s[-6]  # both obey a(k) = 2a(k-1) + 2a(k-2) - a(k-3)
+# g(j) T(L-j) over even j, E(L), and odd j, O(L), apart: g(2k) = f(k-1)^2, g(2k+1) = f(k-1) f(k).
+# Each steps from L-2, L-4 and L-6, so per parity p of L: _e<p>(n) = E(2n+p), _o<p>(n) = O(2n+p).
+_f_products = lambda s: 2 * (s[-1] + s[-2]) - s[-3]  # both obey a(k) = 2a(k-1) + 2a(k-2) - a(k-3)
 _thm4_prefix = _Stepper(2, (0,), lambda n, s: s[-1] + tet(n - 4))
 _thm5_tail = _Stepper(3, (13,), lambda n, s: 2 * (s[-1] + tet(2 * n - 4)) + 5 * tet(2 * n - 5))
 _thm6_sum = _Stepper(0, (0, 1), lambda n, s: s[-1] + s[-2] + tet(2 * n - 1) + tet(2 * n - 3))
 _thm7_sum = _Stepper(0, (0, 0, 0), lambda n, s: s[-1] + s[-2] + tet(n - 3) + tet(n - 4))
-_even_j = _Stepper(0, (0, 0, 1, 1, 3, 5), lambda L, s: _f_products(s) + tet(L - 2) - tet(L - 4))
-_odd_j = _Stepper(0, (0, 0, 0, 1, 1, 4), lambda L, s: _f_products(s) + tet(L - 3))
+_e0 = _Stepper(0, (0, 1, 3), lambda n, s: _f_products(s) + tet(2 * n - 2) - tet(2 * n - 4))
+_e1 = _Stepper(0, (0, 1, 5), lambda n, s: _f_products(s) + tet(2 * n - 1) - tet(2 * n - 3))
+_o0 = _Stepper(0, (0, 0, 1), lambda n, s: _f_products(s) + tet(2 * n - 3))
+_o1 = _Stepper(0, (0, 1, 4), lambda n, s: _f_products(s) + tet(2 * n - 2))
 
 # strip_model's class names; closed mode does not load it
 _INCLINED = ("right-inclined", "left-inclined")
@@ -364,20 +367,20 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     thm5 = _first_tile(
         "thm5_corrected",
         "T(2n) - 2^n = 2 T(2n-3) + sum 2^i T(2n-2i-2) + 5 sum 2^i T(2n-2i-5)",
-        3, even, lambda n: pow2(n), ("horizontal", "left-inclined"),
+        3, even, pow2, ("horizontal", "left-inclined"),
         lambda n: 2 * tet(2 * n - 3) + _thm5_tail(n), _thm5_expected, CORRECTED_VARIANT,
     )
     thm8c = _first_tile(
         "thm8c_corrected",
         "T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i)",
         2, odd, lambda n: fib(n) * fib(n + 1), _INCLINED,
-        lambda n: _even_j(2 * n + 1) + _odd_j(2 * n + 1),
+        lambda n: _e1(n) + _o1(n),
         lambda n: _first_inclined_expected(2 * n + 1), CORRECTED_VARIANT,
     )
     return (
         IdentityDescriptor(
             "thm1", "T(n) = T(n-1) + T(n-2) + T(n-3) + T(n-4)", 4, PAPER_STATED, same,
-            lambda n: tet(n), lambda n: tet(n - 1) + tet(n - 2) + tet(n - 3) + tet(n - 4),
+            tet, lambda n: tet(n - 1) + tet(n - 2) + tet(n - 3) + tet(n - 4),
             _thm1_oracle, _thm1_expected,
         ),
         IdentityDescriptor(
@@ -399,7 +402,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         ),
         _lemma(
             "lemma1", "squares-and-right-inclined tilings of the 2n-strip = 2^n",
-            "squares-right", even, lambda n: pow2(n),
+            "squares-right", even, pow2,
         ),
         thm5._replace(
             id="thm5_printed",
@@ -409,28 +412,28 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         ),
         thm5,
         _lemma("lemma2", "horizontal-free tilings of the n-strip = f(n)",
-               "no-horizontal", same, lambda n: fib(n)),
+               "no-horizontal", same, fib),
         _lemma("lemma3", "all-domino tilings of the 2n-strip = f(n)",
-               "no-squares", even, lambda n: fib(n)),
+               "no-squares", even, fib),
         _first_tile(
             "thm6", "T(2n) - f(n) = sum_{i=1..n} T(2n+1-2i) f(i)",
-            3, even, lambda n: fib(n), ("square",), _thm6_sum, _thm6_expected,
+            3, even, fib, ("square",), _thm6_sum, _thm6_expected,
         ),
         _first_tile(
             "thm7", "T(n) - f(n) = sum_{i=1..n-2} f(i) T(n-i-2)",
-            5, same, lambda n: fib(n), ("horizontal",), _thm7_sum, _thm7_expected,
+            5, same, fib, ("horizontal",), _thm7_sum, _thm7_expected,
         ),
         _first_tile(
             "thm8", "T(2n) - f(n)^2 = sum f(i-1)^2 T(2n-2i) + sum f(i-2) f(i-1) T(2n-2i+1)",
             3, even, lambda n: fib(n) ** 2, _INCLINED,
-            lambda n: _even_j(2 * n) + _odd_j(2 * n), lambda n: _first_inclined_expected(2 * n),
+            lambda n: _e0(n) + _o0(n), lambda n: _first_inclined_expected(2 * n),
         ),
         thm8c._replace(
             id="thm8c_printed",
             statement="T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i+2)",
             provenance=PAPER_STATED,
             # even j against T(2n+1-j), odd j = 3..2n+1 against T(2n+3-j)
-            rhs=lambda n: _even_j(2 * n + 1) + _odd_j(2 * n + 3) - fib(n) * fib(n + 1),
+            rhs=lambda n: _e1(n) + _o1(n + 1) - fib(n) * fib(n + 1),
             partition_expected=None,
         ),
         thm8c,

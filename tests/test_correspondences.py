@@ -110,6 +110,11 @@ def test_thm2_map_rejects_short_inputs():
         thm2_map(parse_tokens("S1 S2 S3", 3))
 
 
+def test_thm2_map_rejects_invalid_inputs():
+    with pytest.raises(ValueError, match="^input tiling is invalid: cell 4 uncovered$"):
+        thm2_map(Tiling(4, (Tile(1, "S"), Tile(2, "S"), Tile(3, "S"))))
+
+
 def test_thm2_outputs_never_collide():
     seen = set()
     for tiling in enumerate_tilings(8):

@@ -600,6 +600,11 @@ def test_cap_default_and_violation():
         histogram_by_descriptor(13)
 
 
+def test_histogram_by_descriptor_rejects_a_negative_half_length():
+    with pytest.raises(ValueError, match="^half-length must be >= 0, got -1$"):
+        histogram_by_descriptor(-1)
+
+
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("HEXDOMINO_MAX_N", "10")
     assert max_cells() == 10

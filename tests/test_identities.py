@@ -399,6 +399,24 @@ def test_record_json_shape_oracle_without_partition():
     assert payload["oracle_total"] == "32"
 
 
+def test_an_oracle_group_with_no_expected_term_fails_the_record_and_the_cli(monkeypatch, capsys):
+    thm4 = get_identity("thm4")
+
+    def oracle(n):
+        outcome = thm4.oracle(n)
+        return outcome._replace(groups={**outcome.groups, "stray": 1})
+
+    stray = thm4._replace(oracle=oracle)
+    record = stray.record(5, "oracle")
+    assert record.groups[-1] == GroupCheck("stray", 0, 1)
+    assert '{"key":"stray","expected":"0","observed":"1","match":false}' in record.to_json_line()
+    assert record.equal and not record.checks_ok and not record.ok
+    monkeypatch.setitem(identities._BY_ID, "thm4", stray)
+    argv = ["verify", "--identity", "thm4", "--mode", "oracle", "--from", "5", "--to", "5"]
+    assert main([*argv, "--expect-mismatch"]) == 2
+    assert capsys.readouterr().out == record.to_json_line() + "\n"
+
+
 def reference_dict(record):
     """The record as a dict, field by field, for the standard encoder: the reference
     for `to_json_line`."""
@@ -568,7 +586,7 @@ def test_stepped_sums_below_the_stated_range_raise_or_agree(monkeypatch):
 
 
 def test_steppers_keep_one_window_and_closed_records_grow_no_weight_memo(monkeypatch):
-    assert len(STEPPERS) == 6
+    assert len(STEPPERS) == 8
     _reset_steppers(monkeypatch)
     for descriptor in list_identities():
         report = verify_range(descriptor.id, descriptor.n_lo, 500)

@@ -164,6 +164,15 @@ def test_tile_at_examples():
     assert tile_at(tiling_of(4, "S1", "S2", "S3", "S4"), 2) == Tile(2, "S")
 
 
+def test_tile_at_rejects_cells_off_the_strip_and_uncovered_cells():
+    squares = tiling_of(4, "S1", "S2", "S3", "S4")
+    for cell in (0, 5):
+        with pytest.raises(ValueError, match=f"^cell {cell} out of range 1..4$"):
+            tile_at(squares, cell)
+    with pytest.raises(ValueError, match="^cell 4 is uncovered$"):
+        tile_at(Tiling(4, squares.tiles[:3]), 4)
+
+
 def test_is_breakable_examples():
     inclined_pair = tiling_of(4, "I2", "I4")
     assert is_breakable(inclined_pair, 2)
