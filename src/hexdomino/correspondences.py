@@ -37,7 +37,7 @@ class SingleStripTiling(_Strip):
     __slots__ = ()
 
 
-_single_strip = _compile(SingleTile._lowest, SingleTile)  # the single strip's tables
+_single_strip = _compile(SingleTile._lowest, SingleTile)  # the endless single strip
 
 
 def enumerate_single_strip(length: int) -> Iterator[SingleStripTiling]:

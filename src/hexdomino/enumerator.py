@@ -8,27 +8,23 @@ Horizontal@(c+2) with Horizontal@(c+3).  Each covers exactly the cells from c
 up to the next frontier cell, so the frontier state is the cell c alone, and
 every path places its tiles in location order.
 
-`_compile` finds each cell's moves once per process, for every length and
-class set: `_transitions` checks n and the classes, then reads the n-cell table,
-keyed by frontier cell, off that one compiled strip, and a class set only
-filters it, as the length does.
-`_walk` lists the paths of any such table: all paths that reach a late cell
-share its finishes, built once, so it walks only the early cells and yields
-each path there before every finish.  `enumerate_tilings` walks the tiles;
-`_token_lines` walks a copy holding each move's tokens as text, so the CLI's
-`enumerate` builds no tiling and joins no tokens.  Counting never lists a path:
-`_ways`, the one backward pass, counts the ways to finish from every cell (the
-transfer-matrix method).  Partitions and windows are forward first-passage passes
-from cell 1, stopping each path at its first tracked tile or past the window and
-weighing it by the ways to finish from there.  So their cost grows with n, not
-with the tilings, and none reads the recurrence it checks.
+`_compile` finds each cell's moves once per process, and `_strip` hands out
+that one endless strip; a class set filters each cell once.  `_ways`, the one
+backward pass (the transfer-matrix method), alone knows where a strip ends: 1
+way to finish at cell n + 1 and 0 past it, so every pass skips a move with no
+way to finish.  `_walk` lists the paths, sharing the finishes of the last cells;
+`enumerate_tilings` walks tiles and `_token_lines` each move's text, spelled
+once, so `enumerate` builds no tiling.  Partitions and windows are forward
+first-passage passes from cell 1, stopping each path at its first tracked tile
+or past the window and weighing it by the ways to finish from there.  So their
+cost grows with n, not with the tilings, and none reads the recurrence it checks.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from .sequences import CapExceeded, max_cells
 from .strip_model import (
@@ -74,15 +70,14 @@ def _class_set(classes) -> frozenset[str]:
 
 
 def _compile(lowest: dict[str, int], make):
-    """Return table(n), the n-cell strip's moves {c: ((tiles, next_c), ...)} keyed
-    from c = n down to 1, so each cell comes after the cells its moves lead to.
+    """Return strip(n), the endless strip grown through cell n: strip[c] holds
+    cell c's moves ((tiles, next_c), ...), each cell compiled once, on first use.
 
     A tile of kind K at k, `make(k, K)`, covers cells k + 1 - lowest[K] and k.
     At frontier c, each kind in `lowest`'s order, laid on the lowest free cell,
     joins the block if it overlaps nothing; the block grows from its new
     frontier while a covered cell lies above it, then yields its tiles in
-    location order.  Each cell of the endless strip is compiled once, on first
-    use; a block ends just below its next cell, so table(n) keeps next_c <= n + 1.
+    location order.  No cell knows where a strip ends; `_ways` does.
     """
     strip = [()]  # strip[c]: the moves at cell c of the endless strip, once compiled
     def blocks(free: int, covered: frozenset, tiles: tuple):
@@ -98,25 +93,29 @@ def _compile(lowest: dict[str, int], make):
             else:
                 yield from blocks(next_c, now, tiles + (tile,))
 
-    def table(n: int) -> dict[int, tuple]:
+    def grown(n: int) -> list:
         strip.extend(tuple(blocks(c, frozenset(), ())) for c in range(len(strip), n + 1))
-        return {c: tuple(move for move in strip[c] if move[1] <= n + 1) for c in range(n, 0, -1)}
+        return strip
 
-    return table
-
-
-_double_strip = _compile(_MIN_LOCATION, _tile)  # the double strip's tables, all classes
+    return grown
 
 
-def _transitions(n: int, classes=ALL_CLASSES) -> dict[int, tuple]:
-    """The n-cell double-strip table, checked n first, then the classes; a class
-    set filters it like the length, keeping the moves all of whose tiles it allows."""
+_double_strip = _compile(_MIN_LOCATION, _tile)  # the endless double strip, all classes
+_kept: dict[frozenset, list] = {}  # class set: the double strip's moves it allows
+_texts: dict[frozenset, list] = {}  # class set: those moves, each as its tokens' text
+
+
+def _strip(n: int, classes=ALL_CLASSES) -> list:
+    """The endless double strip through cell n, checked n first, then the
+    classes; a class set keeps the moves all of whose tiles it allows."""
     _check_size(n)
-    class_set, table = _class_set(classes), _double_strip(n)
+    class_set, strip = _class_set(classes), _double_strip(n)
     if class_set == ALL_CLASSES:
-        return table
-    return {c: tuple(move for move in moves if all(t.tile_class in class_set for t in move[0]))
-            for c, moves in table.items()}
+        return strip
+    kept = _kept.setdefault(class_set, [()])
+    kept.extend(tuple(move for move in strip[c] if all(t.tile_class in class_set for t in move[0]))
+                for c in range(len(kept), n + 1))
+    return kept
 
 
 def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
@@ -124,25 +123,23 @@ def enumerate_tilings(n: int, classes=ALL_CLASSES) -> Iterator[Tiling]:
 
     Canonical order; each tiling appears exactly once.  Restriction prunes at
     choice time rather than filtering a full enumeration afterwards.  The walk
-    reads the compiled `_transitions` table, so no tile is built per step,
-    and each path's tiles come in location order, so no tiling is sorted.
+    reads the compiled strip, so no tile is built per step, and each path's
+    tiles come in location order, so no tiling is sorted.
     """
-    return map(Tiling, repeat(n), _walk(_transitions(n, classes), n, (), ()))
+    return map(Tiling, repeat(n), _walk(_strip(n, classes), n, (), ()))
 
 
 def _token_lines(n: int, classes, head: str = "", tail: str = "") -> Iterator[str]:
     """head + `to_tokens` + tail of each tiling `enumerate_tilings(n, classes)` yields."""
-    table = {
-        c: tuple((" " * (c > 1) + " ".join(tile.token for tile in tiles), next_c)
-                 for tiles, next_c in moves)
-        for c, moves in _transitions(n, classes).items()
-    }
-    return _walk(table, n, head, tail)
+    strip, texts = _strip(n, classes), _texts.setdefault(frozenset(classes), [()])
+    texts.extend(tuple((" " * (c > 1) + " ".join(tile.token for tile in tiles), next_c)
+                       for tiles, next_c in strip[c]) for c in range(len(texts), n + 1))
+    return _walk(texts, n, head, tail)
 
 
-def _walk(table: dict, n: int, head, tail) -> Iterator:
+def _walk(strip: list, n: int, head, tail) -> Iterator:
     """Yield head + (a path's move values, concatenated) + tail for every path
-    through a table of (value, next_c) moves per frontier cell, tried in order.
+    through the n-cell strip of (value, next_c) moves, tried in order.
 
     Every path reaching cell c shares its finishes, so `finishes[c]` lists them
     once, in walk order, built from c = n down while they number at most
@@ -150,9 +147,10 @@ def _walk(table: dict, n: int, head, tail) -> Iterator:
     Earlier cells are walked depth first on a stack of (parts kept, value, cell)
     over one list of path parts: no recursion, and memory linear in n.
     """
-    finishes, c, held = {n + 1: [tail]}, n, 0
-    while c and (held := held + sum(len(finishes[x]) for _, x in table[c])) <= _SHARED_FINISHES:
-        finishes[c] = [value + rest for value, next_c in table[c] for rest in finishes[next_c]]
+    ways, finishes, c, held = _ways(strip, n), {n + 1: [tail]}, n, 0
+    while c and (held := held + ways[c]) <= _SHARED_FINISHES:
+        finishes[c] = [value + rest for value, next_c in strip[c] if ways[next_c]
+                       for rest in finishes[next_c]]
         c -= 1
     join = "".join if isinstance(head, str) else lambda parts: tuple(chain.from_iterable(parts))
 
@@ -165,27 +163,25 @@ def _walk(table: dict, n: int, head, tail) -> Iterator:
                 path = join(parts)
                 yield [path + rest for rest in finishes[c]]
             else:
-                stack += [(depth + 1, value, next_c) for value, next_c in reversed(table[c])]
+                stack += [(depth + 1, value, next_c) for value, next_c in reversed(strip[c])
+                          if ways[next_c]]
 
     return chain.from_iterable(blocks())
 
 
-def _ways(table: dict, n: int) -> dict[int, int]:
-    """{c: the paths through `table` from frontier cell c to the end}, ways[n + 1] = 1,
-    by one backward pass: each cell sums the ways of its moves' next cells."""
-    ways = {n + 1: 1}
-    for c, moves in table.items():
-        ways[c] = sum(ways[next_c] for _, next_c in moves)
+def _ways(strip: list, n: int) -> list[int]:
+    """ways[c]: the paths through `strip` from cell c to the end of the n-cell
+    strip, 1 at n + 1 and 0 past it, each cell summing its moves' next cells."""
+    ways = [0] * (n + 1) + [1] + [0] * 3  # a move lands at most 4 cells past its own
+    for c in range(n, 0, -1):
+        ways[c] = sum(ways[next_c] for _, next_c in strip[c])
     return ways
 
 
 def count_by_enumeration(n: int, classes=ALL_CLASSES) -> int:
-    """Number of tilings, by one backward pass of path counts over the frontier moves.
-
-    The pass derives every count from tile geometry alone, never from the
-    Tetranacci recurrence, so it stays an independent oracle for it.
-    """
-    return _ways(_transitions(n, classes), n)[1]
+    """Number of tilings: the ways to finish from cell 1, derived from tile geometry
+    alone, never from the Tetranacci recurrence, so an independent oracle for it."""
+    return _ways(_strip(n, classes), n)[1]
 
 
 def partition_by_first(n: int, classes) -> dict[int | None, int]:
@@ -198,17 +194,19 @@ def partition_by_first(n: int, classes) -> dict[int | None, int]:
     forward pass counts the tracked-free paths reaching each cell c, and such
     a move adds reach[c] * ways[next_c] to the group of its lowest tracked tile.
     """
-    table, tracked = _transitions(n), _class_set(classes)
-    ways, reach, groups = _ways(table, n), [0, 1] + [0] * n, {}
+    strip, tracked = _strip(n), _class_set(classes)
+    ways, reach, groups = _ways(strip, n), [0, 1] + [0] * n, {}
     for c in range(1, n + 1):
         if not (paths := reach[c]):
             continue
-        for tiles, next_c in table[c]:
+        for tiles, next_c in strip[c]:
+            if not (finish := ways[next_c]):
+                continue
             first = next((tile.location for tile in tiles if tile.tile_class in tracked), None)
             if first is None:
                 reach[next_c] += paths
             else:
-                groups[first] = groups.get(first, 0) + paths * ways[next_c]
+                groups[first] = groups.get(first, 0) + paths * finish
     if reach[n + 1]:
         groups[None] = reach[n + 1]
     return groups
@@ -221,11 +219,13 @@ def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
     `classify` must read nothing else; it runs once per distinct window.  Paths
     stop at their first cell c past min(hi, n), each counting ways[c] tilings.
     """
-    table, end = _transitions(n), min(hi, n)
-    ways, heads, windows, tally = _ways(table, n), {1: {(): 1}}, {}, {}
+    strip, end = _strip(n), min(hi, n)
+    ways, heads, windows, tally = _ways(strip, n), {1: {(): 1}}, {}, {}
     for c in range(1, end + 1):  # paths from cell 1, each move adding its tiles in lo..hi
         reached = heads.pop(c)
-        for tiles, next_c in table[c]:
+        for tiles, next_c in strip[c]:
+            if not ways[next_c]:
+                continue
             own = tuple(tile for tile in tiles if lo <= tile.location <= hi)
             head = heads.setdefault(next_c, {})
             for window, paths in reached.items():
@@ -245,9 +245,8 @@ class CanonicalRank:
     The walk tries each frontier cell's moves in order, so a tiling's rank is
     the sum, over its moves, of the ways to finish after each move tried before
     it (ranking by counting: Nijenhuis & Wilf, Combinatorial Algorithms, 1978).
-    `_ways` counts the ways to finish from every cell of the `_transitions`
-    table, never from the Tetranacci recurrence, and they are summed once per
-    move into a weight table per cell, keyed by the move's first token.  A
+    The ways come from `_ways`, never from the Tetranacci recurrence, summed
+    once per move into a weight table per cell, keyed by its first token.  A
     move's tiles ascend and end just below its next cell, so `rank` reads the
     next cell off each tile's location; a move's second tile is looked up at
     the cell after its first, where no move starts with it, and adds 0.
@@ -255,15 +254,12 @@ class CanonicalRank:
     """
 
     def __init__(self, n: int) -> None:
-        table = _transitions(n)
-        ways = _ways(table, n)
-        self._weights: dict[int, dict[str, int]] = {}
-        for c, moves in table.items():
-            weights, tried = {}, 0
-            for tiles, next_c in moves:
-                weights[tiles[0].token] = tried
-                tried += ways[next_c]
-            self._weights[c] = weights
+        strip = _strip(n)
+        ways = _ways(strip, n)
+        self._weights: list[dict[str, int]] = []
+        for moves in strip[:n + 1]:
+            tried = accumulate((ways[next_c] for _, next_c in moves), initial=0)
+            self._weights.append({tiles[0].token: t for (tiles, _), t in zip(moves, tried)})
         self.total = ways[1]
 
     def rank(self, tiles: tuple[Tile, ...]) -> int:

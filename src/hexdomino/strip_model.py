@@ -170,11 +170,12 @@ def to_tokens(tiling: Tiling) -> str:
 
 
 def parse_tokens(text: str, expected_length: int) -> Tiling:
-    """Inverse of to_tokens; validates the result against expected_length."""
+    """Inverse of to_tokens, tokens [SIH][1-9][0-9]*; validates against expected_length."""
     tiles: list[Tile] = []
     for word in text.split():
         kind, digits = word[:1], word[1:]
-        if kind not in _MIN_LOCATION or not digits.isdigit():
+        location = digits.isascii() and digits.isdigit() and digits[0] != "0"
+        if kind not in _MIN_LOCATION or not location:
             raise ParseError(f"malformed token {word!r}")
         try:
             tiles.append(Tile(int(digits), kind))

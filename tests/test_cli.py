@@ -152,6 +152,12 @@ def test_render_rejects_bad_tiling(capsys):
     assert "uncovered" in err
 
 
+@pytest.mark.parametrize("token", ["S²", "S١", "S01"])
+def test_render_rejects_a_location_not_written_in_ascii_digits(capsys, token):
+    code, out, err = run(capsys, "render", "--n", "4", "--tiling", f"{token} I3 S4")
+    assert (code, out, err) == (1, "", f"error: malformed token '{token}'\n")
+
+
 # A bare interpreter spawns the CLI and prints its exit code and peak RSS in
 # kB: a child of the test process would start from the test process's memory.
 LAUNCH = """import os, sys

@@ -20,6 +20,7 @@ from hexdomino import (
     classify_diagonal,
     count_by_enumeration,
     enumerate_tilings,
+    fibonacci_comb,
     first_tile_of_class,
     histogram_by_descriptor,
     max_cells,
@@ -35,7 +36,7 @@ from hexdomino.correspondences import (
     SingleStripTiling, SingleTile, enumerate_single_strip,
 )
 from hexdomino.enumerator import (
-    CanonicalRank, _compile, _token_lines, _transitions, last_tile_group,
+    CanonicalRank, _compile, _strip, _token_lines, _ways, last_tile_group,
 )
 from hexdomino.identities import verify_range
 from hexdomino.strip_model import _MIN_LOCATION
@@ -245,16 +246,15 @@ def test_ranks_count_off_the_canonical_order():
 
 
 def test_each_move_covers_the_frontier_up_to_its_next_cell_in_location_order():
+    # every move of the endless strip, those past the end of a 16-cell strip included
     for classes in CLASS_PRESETS.values():
-        for n in range(17):
-            table = _transitions(n, classes)
-            assert list(table) == list(range(n, 0, -1))
-            for c, moves in table.items():
-                for tiles, next_c in moves:
-                    locations = [tile.location for tile in tiles]
-                    assert locations == sorted(set(locations)), (n, c, tiles)
-                    cells = [cell for tile in tiles for cell in tile.cells]
-                    assert sorted(cells) == list(range(c, next_c)), (n, c, tiles)
+        strip = _strip(16, classes)
+        for c in range(1, 17):
+            for tiles, next_c in strip[c]:
+                locations = [tile.location for tile in tiles]
+                assert locations == sorted(set(locations)), (c, tiles)
+                cells = [cell for tile in tiles for cell in tile.cells]
+                assert sorted(cells) == list(range(c, next_c)), (c, tiles)
 
 
 def theorem1_blocks(c):
@@ -268,31 +268,65 @@ def theorem1_blocks(c):
 
 
 def test_compiled_blocks_are_theorem1s_four(monkeypatch):
-    # the i-th block reaches cell c + i, so n - c < 3 keeps the leading blocks that fit
+    # every cell of the endless strip has all four; the i-th block reaches cell
+    # c + i, so the n-cell strip's ways keep the leading blocks that fit
     monkeypatch.setenv("HEXDOMINO_MAX_N", "39")
     for n in range(40):
-        for c, moves in _transitions(n, ALL_CLASSES).items():
-            assert list(moves) == theorem1_blocks(c)[:min(n - c + 1, 4)], (n, c)
+        strip = _strip(n)
+        ways = _ways(strip, n)
+        for c in range(1, n + 1):
+            assert list(strip[c]) == theorem1_blocks(c), (n, c)
+            finishing = [move for move in strip[c] if ways[move[1]]]
+            assert finishing == theorem1_blocks(c)[:min(n - c + 1, 4)], (n, c)
 
 
 def test_restricted_tables_keep_the_allowed_blocks_in_order(monkeypatch):
+    # a fresh filter per class set, grown one cell at a time
     monkeypatch.setenv("HEXDOMINO_MAX_N", "39")
+    monkeypatch.setattr(enumerator, "_kept", {})
     for n in range(40):
-        full = _transitions(n, ALL_CLASSES)
+        full = _strip(n)
         for classes in CLASS_SETS:
-            assert _transitions(n, classes) == {
-                c: tuple(move for move in moves if all(t.tile_class in classes for t in move[0]))
-                for c, moves in full.items()
-            }, (sorted(classes), n)
+            strip = _strip(n, classes)
+            assert [strip[c] for c in range(n + 1)] == [
+                tuple(move for move in full[c] if all(t.tile_class in classes for t in move[0]))
+                for c in range(n + 1)
+            ], (sorted(classes), n)
 
 
 def test_single_strip_blocks_are_a_square_then_a_domino():
     for n in range(40):
-        table = _compile(SingleTile._lowest, SingleTile)(n)
-        assert list(table) == list(range(n, 0, -1))
-        for c, moves in table.items():
+        strip = _compile(SingleTile._lowest, SingleTile)(n)
+        ways = _ways(strip, n)
+        assert len(strip) == n + 1  # a fresh strip grows through cell n and no further
+        for c in range(1, n + 1):
             blocks = [((SingleTile(c, "S"),), c + 1), ((SingleTile(c + 1, "D"),), c + 2)]
-            assert list(moves) == blocks[:1 + (c < n)], (n, c)
+            assert list(strip[c]) == blocks, (n, c)
+            assert [move for move in strip[c] if ways[move[1]]] == blocks[:1 + (c < n)], (n, c)
+
+
+def test_ways_end_each_strip_at_cell_n_plus_1_and_no_pass_counts_past_it(monkeypatch):
+    # a move past the end has no way to finish, so every pass skips it: weighed
+    # by 0 instead, it would key a group or a window with a count of 0
+    monkeypatch.setenv("HEXDOMINO_MAX_N", "40")
+    no_squares = CLASS_PRESETS["no-squares"]
+    for n in range(41):
+        single = correspondences._single_strip(n)
+        for strip in (single, *(_strip(n, classes) for classes in CLASS_SETS)):
+            ways = _ways(strip, n)
+            assert ways[n + 1] == 1 and not any(ways[n + 2:]), n
+            assert all(next_c < len(ways) for c in range(n + 1) for _, next_c in strip[c]), n
+        assert _ways(single, n)[1] == fibonacci_comb(n)
+        for classes in CLASS_SETS:
+            groups = partition_by_first(n, classes)
+            assert all(count > 0 for count in groups.values()), (sorted(classes), n, groups)
+        for lo, hi in ((n - 1, n), (n - 3, n), (n // 2, n // 2 + 3)):
+            tally = enumerator.tally_by_window(n, lo, hi, attrgetter("tiles"))
+            assert all(count > 0 for count in tally.values()), (n, lo, hi)
+        if n % 2:
+            assert count_by_enumeration(n, no_squares) == 0
+            assert list(enumerate_tilings(n, no_squares)) == [], n
+            assert list(_token_lines(n, no_squares)) == [], n
 
 
 def test_tile_cells_follow_the_lowest_locations():
@@ -304,9 +338,15 @@ def test_tile_cells_follow_the_lowest_locations():
             assert Tile(k, "H").cells == {k - 2, k}
 
 
+def cut(strip, n):
+    """The n-cell table the endless strip stands for: from c = n down, the moves
+    whose next cell is at most n + 1, as the per-length compiler made them."""
+    return {c: tuple(move for move in strip[c] if move[1] <= n + 1) for c in range(n, 0, -1)}
+
+
 def reference_compile(n, lowest, make):
-    """The per-length compiler the endless strip's tables replaced, kept as their
-    reference: it compiles every cell of the n-cell strip anew and drops a tile
+    """The per-length compiler the endless strip replaced, kept as the reference
+    for its `cut`: it compiles every cell of the n-cell strip anew and drops a tile
     past cell n as it lays it."""
     def blocks(free, covered, tiles):
         for kind, low in lowest.items():
@@ -329,6 +369,7 @@ def test_tables_equal_the_per_length_compiler(monkeypatch):
     # grows it, and 500 and 499 read that compile; every class set filters it
     monkeypatch.setenv("HEXDOMINO_MAX_N", "501")
     monkeypatch.setattr(enumerator, "_double_strip", _compile(_MIN_LOCATION, enumerator._tile))
+    monkeypatch.setattr(enumerator, "_kept", {})
     for n in [*range(60), 501, 500, 499]:
         for classes in CLASS_SETS:
             def make(k, kind):
@@ -336,18 +377,18 @@ def test_tables_equal_the_per_length_compiler(monkeypatch):
                 return tile if tile.tile_class in classes else None
 
             expected = reference_compile(n, _MIN_LOCATION, make)
-            assert list(_transitions(n, classes).items()) == list(expected.items()), (
+            assert list(cut(_strip(n, classes), n).items()) == list(expected.items()), (
                 sorted(classes), n)
-    single = correspondences._single_strip
+    single = _compile(SingleTile._lowest, SingleTile)
     for n in range(60):
         expected = reference_compile(n, SingleTile._lowest, SingleTile)
-        assert list(single(n).items()) == list(expected.items()), n
+        assert list(cut(single(n), n).items()) == list(expected.items()), n
 
 
 def test_each_cell_of_each_geometry_is_compiled_once_per_process(monkeypatch):
-    # each geometry's one strip makes the tiles one compile of its longest table
-    # makes, whatever class sets read it: had any cell been compiled twice, or a
-    # strip compiled per class set, it would have made its tiles twice
+    # each geometry's one strip makes the tiles that one compile through its
+    # longest length makes, whatever class sets read it: had any cell been compiled
+    # twice, or a strip compiled per class set, it would have made its tiles twice
     compile_, strips = enumerator._compile, []
 
     def logged(lowest, make):
@@ -357,13 +398,13 @@ def test_each_cell_of_each_geometry_is_compiled_once_per_process(monkeypatch):
             made.append((k, kind))
             return make(k, kind)
 
-        def table(n):
+        def grown(n):
             longest[0] = max(longest[0], n)
             return strip(n)
 
         strip = compile_(lowest, counted)
         strips.append((lowest, make, made, longest))
-        return table
+        return grown
 
     monkeypatch.setattr(enumerator, "_compile", logged)
     monkeypatch.setattr(enumerator, "_double_strip", logged(_MIN_LOCATION, enumerator._tile))
@@ -388,7 +429,7 @@ def reference_fold(n, allowed, start, carry):
     their reference: each frontier cell maps to {key of a finish: its count},
     and `carry(tile, groups)` rekeys a finish's groups for a tile placed before it."""
     done = {n + 1: {start: 1}}
-    for c, moves in _transitions(n, allowed).items():
+    for c, moves in cut(_strip(n, allowed), n).items():
         groups = {}
         for tiles, next_c in moves:
             rest = done[next_c]
@@ -446,7 +487,7 @@ def reference_tally(n, lo, hi, classify):
     verbatim as its reference: each frontier cell maps to {window of a finish:
     its count}, each move's own tiles in lo..hi prefixed to its next cell's windows."""
     rests: dict[int, dict] = {n + 1: {(): 1}}
-    for c, moves in _transitions(n).items():
+    for c, moves in cut(_strip(n), n).items():
         windows: dict = {}
         for tiles, next_c in moves:
             own = tuple(tile for tile in tiles if lo <= tile.location <= hi)

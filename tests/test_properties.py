@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexdomino import (
+    CLASS_PRESETS,
+    ParseError,
     Tile,
     Tiling,
     UnbreakableError,
@@ -20,18 +22,18 @@ from hexdomino import (
     validate,
 )
 from hexdomino import cli
-from hexdomino.enumerator import CanonicalRank, _double_strip, last_tile_group
+from hexdomino.enumerator import CanonicalRank, _double_strip, _token_lines, last_tile_group
 
 
 @st.composite
 def walked(draw, n):
-    """A valid n-cell tiling: from each frontier cell, one of its moves in the
-    compiled strip's n-cell table, and the index there of each move taken.
+    """A valid n-cell tiling: from each frontier cell, one of the compiled strip's
+    moves that end by cell n + 1, and the index among them of each move taken.
 
     Built unsorted, so `validate` checks that the moves place tiles in order."""
-    tiles, indices, c = [], [], 1
+    tiles, indices, c, strip = [], [], 1, _double_strip(n)
     while c <= n:
-        moves = _double_strip(n)[c]
+        moves = [move for move in strip[c] if move[1] <= n + 1]
         indices.append(draw(st.integers(0, len(moves) - 1)))
         move, c = moves[indices[-1]]
         tiles += move
@@ -47,6 +49,30 @@ def tilings(draw, min_length=0, max_length=40):
 def test_tokens_round_trip(tiling):
     assert validate(tiling) == []
     assert parse_tokens(to_tokens(tiling), tiling.length) == tiling
+
+
+# Digits `str.isdigit` accepts besides ASCII: fullwidth, Arabic-Indic, superscript.
+OTHER_DIGITS = ("０１２３４５６７８９", "٠١٢٣٤٥٦٧٨٩", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+@given(st.data())
+def test_parse_tokens_takes_back_exactly_the_lines_the_walk_writes(data):
+    n = data.draw(st.integers(1, 14))
+    classes = CLASS_PRESETS[data.draw(st.sampled_from(sorted(CLASS_PRESETS)))]
+    lines = list(_token_lines(n, classes))
+    if not lines:  # no tiling without squares of an odd strip
+        return
+    line = data.draw(st.sampled_from(lines))
+    assert to_tokens(parse_tokens(line, n)) == line
+    # the same location spelled with a leading zero or other digits is no token
+    words = line.split(" ")
+    i = data.draw(st.integers(0, len(words) - 1))
+    kind, digits = words[i][0], words[i][1:]
+    other = data.draw(st.sampled_from(OTHER_DIGITS))
+    for spelling in ("0" + digits, "".join(other[int(d)] for d in digits)):
+        words[i] = kind + spelling
+        with pytest.raises(ParseError, match="malformed token"):
+            parse_tokens(" ".join(words), n)
 
 
 @given(tilings())
@@ -72,7 +98,7 @@ def test_breakable_iff_split_succeeds(tiling):
 
 @given(st.data())
 def test_rank_orders_tilings_as_the_walk_does(data):
-    # the walk tries moves in table order, so it meets tilings in the
+    # the walk tries moves in strip order, so it meets tilings in the
     # lexicographic order of their move indices
     n = data.draw(st.integers(0, 40))
     (a, a_moves), (b, b_moves) = data.draw(walked(n)), data.draw(walked(n))

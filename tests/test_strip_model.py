@@ -147,6 +147,13 @@ def test_parse_tokens_rejects_malformed_tokens(text):
         parse_tokens(text, 4)
 
 
+@pytest.mark.parametrize("text", ["S² I3 S4", "S١ I3 S4", "S01 I3 S4", "S0 S1 I3 S4", "S1 I3 S+4"])
+def test_parse_tokens_takes_only_ascii_locations_without_a_leading_zero(text):
+    # `to_tokens` writes [SIH][1-9][0-9]*; other digits `str.isdigit` accepts are no token
+    with pytest.raises(ParseError, match="^malformed token"):
+        parse_tokens(text, 4)
+
+
 @given(st.text(max_size=12))
 def test_parse_tokens_total_on_garbage(text):
     # any input either parses to a valid tiling or raises ParseError, nothing else
