@@ -78,6 +78,15 @@ def _compile(lowest: dict[str, int], make):
     joins the block if it overlaps nothing; the block grows from its new
     frontier while a covered cell lies above it, then yields its tiles in
     location order.  No cell knows where a strip ends; `_ways` does.
+
+    So every cell is cell 1 moved up: the search reads only offsets from the
+    free cell (each k is free + lowest[K] - 1, tested against cells the block
+    covered itself), and `make(k, K)` never rejects a k >= c, since c >= 1.
+    Cell c's moves are cell 1's with every location and next cell raised by
+    c - 1.  A tile's class reads its kind and, if inclined, the parity of its
+    location, so cells of one parity share their classes, and cell 2's are
+    cell 1's with right- and left-inclined swapped (the tests check all three
+    to cell 400).
     """
     strip = [()]  # strip[c]: the moves at cell c of the endless strip, once compiled
     def blocks(free: int, covered: frozenset, tiles: tuple):
@@ -240,34 +249,34 @@ def tally_by_window(n: int, lo: int, hi: int, classify) -> dict:
 
 
 class CanonicalRank:
-    """Rank the tilings of the n-cell strip in `enumerate_tilings(n)` order.
+    """Rank the tilings of the n-cell strip `grown` compiles in its walk's order.
 
     The walk tries each frontier cell's moves in order, so a tiling's rank is
     the sum, over its moves, of the ways to finish after each move tried before
     it (ranking by counting: Nijenhuis & Wilf, Combinatorial Algorithms, 1978).
     The ways come from `_ways`, never from the Tetranacci recurrence, summed
-    once per move into a weight table per cell, keyed by its first token.  A
+    once per move into a weight table per cell, keyed by its first tile.  A
     move's tiles ascend and end just below its next cell, so `rank` reads the
     next cell off each tile's location; a move's second tile is looked up at
     the cell after its first, where no move starts with it, and adds 0.
     The walk yields tilings in rank order, so it names the tiling at a rank.
     """
 
-    def __init__(self, n: int) -> None:
-        strip = _strip(n)
+    def __init__(self, n: int, grown=_strip) -> None:
+        strip = grown(n)
         ways = _ways(strip, n)
-        self._weights: list[dict[str, int]] = []
+        self._weights: list[dict[tuple, int]] = []
         for moves in strip[:n + 1]:
             tried = accumulate((ways[next_c] for _, next_c in moves), initial=0)
-            self._weights.append({tiles[0].token: t for (tiles, _), t in zip(moves, tried)})
+            self._weights.append({tiles[0]: t for (tiles, _), t in zip(moves, tried)})
         self.total = ways[1]
 
-    def rank(self, tiles: tuple[Tile, ...]) -> int:
-        """Index in `enumerate_tilings(n)` of the valid tiling with these tiles."""
+    def rank(self, tiles: tuple) -> int:
+        """Index in the walk's order of the valid tiling with these tiles."""
         weights = self._weights
         index, c = 0, 1
         for tile in tiles:
-            index += weights[c].get(tile.token, 0)
+            index += weights[c].get(tile, 0)
             c = tile.location + 1
         return index
 

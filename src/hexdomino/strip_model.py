@@ -36,6 +36,11 @@ class UnbreakableError(ValueError):
     """Raised by split_at when a tile crosses the requested diagonal."""
 
 
+def _cells(tile: _KindTile) -> frozenset[int]:
+    """The set of cells the tile covers, read off its kind's lowest location."""
+    return frozenset({tile.location + 1 - tile._lowest[tile.kind], tile.location})
+
+
 class _KindTile(namedtuple("_KindTile", "location kind")):
     """A (location, kind) tile of a strip whose `_lowest` table gives each kind's
     lowest location; checked on construction, and `_make` and `_replace`
@@ -54,6 +59,11 @@ class _KindTile(namedtuple("_KindTile", "location kind")):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    cells = property(_cells)
+
+    def __str__(self) -> str:
+        return f"{self.kind}{self.location}"
 
 
 class _Strip(namedtuple("_Strip", "length tiles")):
@@ -79,26 +89,13 @@ class Tile(_KindTile):
             return HORIZONTAL
         return RIGHT_INCLINED if self.location % 2 == 0 else LEFT_INCLINED
 
-    @cached_property
-    def token(self) -> str:
-        """`S<k>`/`I<k>`/`H<k>`, formatted on first use and then read at C speed."""
-        return f"{self.kind}{self.location}"
+    token = cached_property(_KindTile.__str__)  # `S<k>`/`I<k>`/`H<k>`, kept once formatted
 
-    @cached_property
-    def cells(self) -> frozenset[int]:
-        """The set of cells the tile covers, built on first use and then kept."""
-        return _cells(*self)
-
-    def __str__(self) -> str:
-        return self.token
+    cells = cached_property(_cells)  # built on first use and then kept
 
 
-def _cells(location: int, kind: str) -> frozenset[int]:
-    return frozenset({location + 1 - _MIN_LOCATION[kind], location})
-
-
-def cells_of(tile: Tile) -> frozenset[int]:
-    """The set of cells the tile covers."""
+def cells_of(tile: _KindTile) -> frozenset[int]:
+    """The set of cells a tile of either strip covers."""
     return tile.cells
 
 
@@ -112,8 +109,8 @@ class Tiling(_Strip):
 _LOCATION, _CELLS = attrgetter("location"), attrgetter("cells")
 
 
-def validate(tiling: Tiling) -> list[str]:
-    """Return the list of invariant violations; empty means the tiling is valid.
+def validate(tiling: _Strip) -> list[str]:
+    """The invariant violations of a tiling of either strip; [] means it is valid.
 
     Each violation names the offending cell or tile.  A valid tiling is
     accepted at C speed from its tiles' cached cell sets: its locations
@@ -131,7 +128,7 @@ def validate(tiling: Tiling) -> list[str]:
     return _violations(tiling)
 
 
-def _violations(tiling: Tiling) -> list[str]:
+def _violations(tiling: _Strip) -> list[str]:
     """`validate`'s messages, by a per-cell walk over the tiles."""
     violations: list[str] = []
     if tiling.length < 0:
@@ -145,7 +142,7 @@ def _violations(tiling: Tiling) -> list[str]:
         if tile.location in seen_locations:
             violations.append(f"duplicate location {tile.location}")
         seen_locations.add(tile.location)
-        for cell in _cells(*tile):
+        for cell in _cells(tile):
             if cell > tiling.length:
                 violations.append(f"tile {tile} covers cell {cell} beyond length {tiling.length}")
             elif cell in covered:
@@ -170,9 +167,10 @@ def to_tokens(tiling: Tiling) -> str:
 
 
 def parse_tokens(text: str, expected_length: int) -> Tiling:
-    """Inverse of to_tokens, tokens [SIH][1-9][0-9]*; validates against expected_length."""
+    """Inverse of to_tokens: tokens [SIH][1-9][0-9]* in ASCII, each after the
+    first behind one space, "" for none; validates against expected_length."""
     tiles: list[Tile] = []
-    for word in text.split():
+    for word in text.split(" ") if text else ():
         kind, digits = word[:1], word[1:]
         location = digits.isascii() and digits.isdigit() and digits[0] != "0"
         if kind not in _MIN_LOCATION or not location:

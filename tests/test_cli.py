@@ -158,6 +158,13 @@ def test_render_rejects_a_location_not_written_in_ascii_digits(capsys, token):
     assert (code, out, err) == (1, "", f"error: malformed token '{token}'\n")
 
 
+@pytest.mark.parametrize("text", ["S1\tI3\nS4", "  S1   I3 S4 ", "S1\u3000I3 S4", "S1\x1cI3 S4"])
+def test_render_takes_tokens_behind_single_ascii_spaces_only(capsys, text):
+    code, out, err = run(capsys, "render", "--n", "4", "--tiling", text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed token '") and err.count("\n") == 1
+
+
 # A bare interpreter spawns the CLI and prints its exit code and peak RSS in
 # kB: a child of the test process would start from the test process's memory.
 LAUNCH = """import os, sys
@@ -590,6 +597,98 @@ def test_bijection_checks_that_the_images_are_the_codomain(capsys, monkeypatch, 
     assert (code, report["image_complete"], report["ok"]) == (2, False, False)
 
 
+def test_bijection_never_lists_its_codomain(capsys, monkeypatch):
+    # each image is tallied at its rank among the single-strip tilings
+    from hexdomino import correspondences
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the lemma harness listed the single strip")
+
+    monkeypatch.setattr(correspondences, "enumerate_single_strip", forbidden)
+    for name, n, count in (("lemma2", 8, 34), ("lemma3", 5, 8)):
+        code, out, err = run(capsys, "bijection", "--name", name, "--n", str(n))
+        report = json.loads(out)
+        assert (code, err, report["codomain"], report["ok"]) == (0, "", count, True)
+
+
+def reflected(single):
+    """The mirror image of a single-strip tiling: an involution, so a bijection
+    of each length's tilings that lists them in another order."""
+    n = single.length
+    from hexdomino.correspondences import SingleStripTiling, SingleTile
+
+    return SingleStripTiling.of(n, [
+        SingleTile(n + 1 - t.location + (t.kind == "D"), t.kind) for t in single.tiles
+    ])
+
+
+def one_image(forward, backward, family):
+    first = forward(family[0])
+    return (lambda tiling: first), backward
+
+
+def overlapping(forward, backward, family):
+    # the second of two leading squares becomes a domino over the first: n cells long,
+    # but it covers cell 1 twice
+    from hexdomino.correspondences import SingleStripTiling, SingleTile
+
+    def forward_overlapping(tiling):
+        single = forward(tiling)
+        if [(t.location, t.kind) for t in single.tiles[:2]] != [(1, "S"), (2, "S")]:
+            return single
+        tiles = (single.tiles[0], SingleTile(2, "D"), *single.tiles[2:])
+        return SingleStripTiling(single.length, tiles)
+
+    return forward_overlapping, backward
+
+
+def reordered(forward, backward, family):
+    return (lambda tiling: reflected(forward(tiling))), (lambda single: backward(reflected(single)))
+
+
+@pytest.mark.parametrize("name, n, length, preset", [
+    ("lemma2", 8, 8, "no-horizontal"), ("lemma3", 5, 10, "no-squares"),
+])
+@pytest.mark.parametrize("mutant, complete", [
+    (one_image, False), (overlapping, False), (reordered, True),
+])
+def test_bijection_cover_is_a_set_check(capsys, monkeypatch, name, n, length, preset,
+                                        mutant, complete):
+    # image_complete holds iff the images are the codomain's tilings, each once,
+    # in any order: what comparing a set of images with the codomain's set gives
+    from hexdomino import CLASS_PRESETS, correspondences, enumerate_tilings
+
+    family = list(enumerate_tilings(length, CLASS_PRESETS[preset]))
+    forward, backward = mutant(getattr(correspondences, f"{name}_to_single"),
+                               getattr(correspondences, f"{name}_from_single"), family)
+    monkeypatch.setattr(correspondences, f"{name}_to_single", forward)
+    monkeypatch.setattr(correspondences, f"{name}_from_single", backward)
+    code, out, err = run(capsys, "bijection", "--name", name, "--n", str(n))
+    report = json.loads(out)
+    assert (report["domain"], report["codomain"]) == (len(family), len(family))
+    assert report["image_complete"] is complete
+    assert report["ok"] is (complete and report["round_trip_ok"] == len(family))
+    assert (code, err) == (0 if report["ok"] else 2, "")
+    if mutant is reordered:
+        assert report["ok"]
+
+
+def test_bijection_lemma2_at_the_default_cap_holds_no_set_of_tilings():
+    # 75,025 images: a set of them and one of the codomain peaked at 140 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCH, "-m", "hexdomino", "bijection", "--name", "lemma2",
+         "--n", "24"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    line, status = result.stdout.splitlines()
+    code, peak_kb = map(int, status.split())
+    assert (code, result.stderr) == (0, "")
+    assert line == ('{"name":"lemma2","n":24,"strip_cells":24,"domain":75025,"codomain":75025,'
+                    '"round_trip_ok":75025,"image_complete":true,"ok":true}')
+    assert peak_kb < 40 * 1024
+
+
 def test_bijection_thm2_below_range(capsys):
     code, _, _ = run(capsys, "bijection", "--name", "thm2", "--n", "4")
     assert code == 1
@@ -835,10 +934,15 @@ def test_interrupt_is_a_one_line_error():
     # interpreter is inside the verification loop when the signal lands.
     env = dict(os.environ, PYTHONPATH=str(Path(hexdomino.__file__).parents[1]),
                PYTHONUNBUFFERED="1", HEXDOMINO_MAX_N="2000")
+    # The child starts with SIGINT at its default, whatever the test runner
+    # inherited: a background job of a non-interactive shell ignores SIGINT,
+    # and a Python started with it ignored installs no KeyboardInterrupt
+    # handler, so it would run to the end and exit 0.
     proc = subprocess.Popen(
         [sys.executable, "-m", "hexdomino", "verify", "--identity", "thm2_num",
          "--mode", "oracle", "--from", "6", "--to", "2000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     first = proc.stdout.readline()
     time.sleep(1)

@@ -28,9 +28,11 @@ from hexdomino import (
     thm2_map,
     thm2_verify,
     to_tokens,
+    validate,
     verify_range,
 )
 from hexdomino.cli import main
+from hexdomino.enumerator import CanonicalRank
 
 
 def single_tokens(single):
@@ -383,6 +385,25 @@ def test_lemma3_round_trip_and_image():
             image.add(single)
         assert len(image) == domain == fibonacci_comb(n)
         assert image == set(enumerate_single_strip(n))
+
+
+def test_single_strip_ranks_count_off_its_walk():
+    for n in range(21):
+        ranking = CanonicalRank(n, correspondences._single_strip)
+        assert ranking.total == fibonacci_comb(n)
+        ranks = [ranking.rank(single.tiles) for single in enumerate_single_strip(n)]
+        assert ranks == list(range(ranking.total)), n
+
+
+def test_validate_checks_single_strip_tilings_cell_by_cell():
+    for n in range(13):
+        assert all(validate(single) == [] for single in enumerate_single_strip(n)), n
+    s, d = (lambda k: SingleTile(k, "S")), (lambda k: SingleTile(k, "D"))
+    assert validate(SingleStripTiling(3, (s(1), d(2), s(3)))) == ["cell 1 covered by both S1 and D2"]
+    assert validate(SingleStripTiling(4, (s(1), s(4)))) == ["cells 2..3 uncovered"]
+    assert validate(SingleStripTiling(3, (s(1), s(2), d(4)))) == [
+        "tile D4 covers cell 4 beyond length 3"
+    ]
 
 
 def test_lemma_inverses_from_single_side():

@@ -305,6 +305,29 @@ def test_single_strip_blocks_are_a_square_then_a_domino():
             assert [move for move in strip[c] if ways[move[1]]] == blocks[:1 + (c < n)], (n, c)
 
 
+def shifted(moves, by):
+    return [(tuple((t.location + by, t.kind) for t in tiles), next_c + by) for tiles, next_c in moves]
+
+
+def move_classes(moves):
+    return [[t.tile_class for t in tiles] for tiles, _ in moves]
+
+
+def test_every_cell_is_cell_1_or_2_shifted():
+    # `_compile`'s docstring proves this for every cell; checked here to cell 400
+    double = _compile(_MIN_LOCATION, enumerator._tile)(400)
+    single = _compile(SingleTile._lowest, SingleTile)(400)
+    for c in range(1, 401):
+        p = 2 - c % 2  # 1 or 2, of c's parity
+        assert shifted(double[c], 0) == shifted(double[p], c - p), c
+        assert move_classes(double[c]) == move_classes(double[p]), c
+        assert shifted(single[c], 0) == shifted(single[1], c - 1), c
+    swap = {RIGHT_INCLINED: LEFT_INCLINED, LEFT_INCLINED: RIGHT_INCLINED}
+    assert move_classes(double[2]) == [[swap.get(k, k) for k in move] for move in move_classes(double[1])]
+    assert move_classes(double[1]) == [[SQUARE], [RIGHT_INCLINED], [SQUARE, HORIZONTAL],
+                                       [HORIZONTAL, HORIZONTAL]]
+
+
 def test_ways_end_each_strip_at_cell_n_plus_1_and_no_pass_counts_past_it(monkeypatch):
     # a move past the end has no way to finish, so every pass skips it: weighed
     # by 0 instead, it would key a group or a window with a count of 0

@@ -75,6 +75,32 @@ def test_parse_tokens_takes_back_exactly_the_lines_the_walk_writes(data):
             parse_tokens(" ".join(words), n)
 
 
+SEPARATORS = " \t\n\u3000"
+
+
+@st.composite
+def token_texts(draw):
+    """(text, n): a line the walk writes with its gaps and ends redrawn from
+    SEPARATORS, or any text over the tokens' letters, digits and SEPARATORS."""
+    n = draw(st.integers(0, 10))
+    words = draw(st.sampled_from(list(_token_lines(n, CLASS_PRESETS["all"])))).split()
+    gaps = st.text(SEPARATORS, min_size=1, max_size=3)
+    text = draw(st.text(SEPARATORS, max_size=2)) + "".join(
+        word + draw(gaps) for word in words[:-1]) + "".join(words[-1:])
+    text += draw(st.text(SEPARATORS, max_size=2))
+    return draw(st.sampled_from([text, draw(st.text("SIH0123456789" + SEPARATORS))])), n
+
+
+@given(token_texts())
+def test_any_text_that_parses_is_the_text_to_tokens_writes(text_and_n):
+    text, n = text_and_n
+    try:
+        tiling = parse_tokens(text, n)
+    except ParseError:
+        return
+    assert to_tokens(tiling) == text
+
+
 @given(tilings())
 def test_tokens_spell_each_tile(tiling):
     # tokens are cached on interned tiles, shared by the moves, the walk and thm2_map

@@ -34,6 +34,21 @@ def test_cells_of_by_kind():
     assert cells_of(Tile(4, "H")) == {2, 4}
 
 
+def test_cells_of_a_single_strip_tile():
+    from hexdomino import SingleTile
+
+    assert cells_of(SingleTile(4, "S")) == {4}
+    assert cells_of(SingleTile(4, "D")) == {3, 4}
+
+
+@pytest.mark.parametrize("text", ["S1\tI3\nS4", "  S1   I3 S4 ", "S1\u3000I3 S4", "S1\x1cI3 S4"])
+def test_parse_tokens_takes_single_ascii_spaces_between_tokens_only(text):
+    # `to_tokens` writes "S1 I3 S4" for this tiling, and nothing else parses to it
+    assert to_tokens(parse_tokens("S1 I3 S4", 4)) == "S1 I3 S4"
+    with pytest.raises(ParseError, match="malformed token"):
+        parse_tokens(text, 4)
+
+
 def test_tile_class_over_parity():
     assert Tile(2, "S").tile_class == "square"
     assert Tile(4, "I").tile_class == "right-inclined"
