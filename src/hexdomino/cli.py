@@ -233,6 +233,11 @@ def _build_parser():
             # argparse drops an OSError from this write (of help); let it reach `main`
             (file or sys.stderr).write(message)
 
+        def _get_values(self, action, arg_strings):  # before 3.13 `--flag=--` was [], unchecked
+            if action.option_strings and arg_strings == ["--"]:
+                self.error(f"argument {action.option_strings[0]}: expected one argument")
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(
         prog="hexdomino",
         description="Count, enumerate, and verify square/domino tilings of the "

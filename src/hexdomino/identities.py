@@ -322,16 +322,16 @@ class _Stepper:
 
 # Each sum steps by its weights' own recurrence, never by T's: a prefix sum (thm4), Horner's
 # rule in 2^i (thm5's two sums), f(i) = f(i-1) + f(i-2) (thm6, thm7).  The thm8 family sums
-# g(j) T(L-j) over even j, E(L), and odd j, O(L), apart: g(2k) = f(k-1)^2, g(2k+1) = f(k-1) f(k).
-# Each steps from L-2, L-4 and L-6, so per parity p of L: _e<p>(n) = E(2n+p), _o<p>(n) = O(2n+p).
-_f_products = lambda s: 2 * (s[-1] + s[-2]) - s[-3]  # both obey a(k) = 2a(k-1) + 2a(k-2) - a(k-3)
+# S(L) = sum g(j) T(L-j), whose weights g(2k) = f(k-1)^2 and g(2k+1) = f(k-1) f(k) both obey
+# a(k) = 2a(k-1) + 2a(k-2) - a(k-3).  Per parity p of L, _s<p>(n) = S(2n+p); _o1 = odd j only.
+_f_products = lambda s: 2 * (s[-1] + s[-2]) - s[-3]
+_t_terms = lambda L: tet(L - 2) + tet(L - 3) - tet(L - 4)
 _thm4_prefix = _Stepper(2, (0,), lambda n, s: s[-1] + tet(n - 4))
 _thm5_tail = _Stepper(3, (13,), lambda n, s: 2 * (s[-1] + tet(2 * n - 4)) + 5 * tet(2 * n - 5))
 _thm6_sum = _Stepper(0, (0, 1), lambda n, s: s[-1] + s[-2] + tet(2 * n - 1) + tet(2 * n - 3))
 _thm7_sum = _Stepper(0, (0, 0, 0), lambda n, s: s[-1] + s[-2] + tet(n - 3) + tet(n - 4))
-_e0 = _Stepper(0, (0, 1, 3), lambda n, s: _f_products(s) + tet(2 * n - 2) - tet(2 * n - 4))
-_e1 = _Stepper(0, (0, 1, 5), lambda n, s: _f_products(s) + tet(2 * n - 1) - tet(2 * n - 3))
-_o0 = _Stepper(0, (0, 0, 1), lambda n, s: _f_products(s) + tet(2 * n - 3))
+_s0 = _Stepper(0, (0, 1, 4), lambda n, s: _f_products(s) + _t_terms(2 * n))
+_s1 = _Stepper(0, (0, 2, 9), lambda n, s: _f_products(s) + _t_terms(2 * n + 1))
 _o1 = _Stepper(0, (0, 1, 4), lambda n, s: _f_products(s) + tet(2 * n - 2))
 
 # strip_model's class names; closed mode does not load it
@@ -374,7 +374,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         "thm8c_corrected",
         "T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i)",
         2, odd, lambda n: fib(n) * fib(n + 1), _INCLINED,
-        lambda n: _e1(n) + _o1(n),
+        _s1,
         lambda n: _first_inclined_expected(2 * n + 1), CORRECTED_VARIANT,
     )
     return (
@@ -426,14 +426,14 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         _first_tile(
             "thm8", "T(2n) - f(n)^2 = sum f(i-1)^2 T(2n-2i) + sum f(i-2) f(i-1) T(2n-2i+1)",
             3, even, lambda n: fib(n) ** 2, _INCLINED,
-            lambda n: _e0(n) + _o0(n), lambda n: _first_inclined_expected(2 * n),
+            _s0, lambda n: _first_inclined_expected(2 * n),
         ),
         thm8c._replace(
             id="thm8c_printed",
             statement="T(2n+1) - f(n) f(n+1) = sum f(i-1)^2 T(2n-2i+1) + sum f(i-1) f(i) T(2n-2i+2)",
             provenance=PAPER_STATED,
             # even j against T(2n+1-j), odd j = 3..2n+1 against T(2n+3-j)
-            rhs=lambda n: _e1(n) + _o1(n + 1) - fib(n) * fib(n + 1),
+            rhs=lambda n: _s1(n) - _o1(n) + _o1(n + 1) - fib(n) * fib(n + 1),
             partition_expected=None,
         ),
         thm8c,

@@ -179,11 +179,6 @@ def parse_tokens(text: str, expected_length: int) -> Tiling:
             tiles.append(Tile(int(digits), kind))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    for a, b in zip(tiles, tiles[1:]):
-        if a.location >= b.location:
-            raise ParseError(
-                f"locations must be strictly ascending, got {a} before {b}"
-            )
     tiling = Tiling(expected_length, tuple(tiles))
     violations = validate(tiling)
     if violations:

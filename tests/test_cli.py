@@ -165,6 +165,14 @@ def test_render_takes_tokens_behind_single_ascii_spaces_only(capsys, text):
     assert err.startswith("error: malformed token '") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("S2 S1", "tiles are not in ascending location order"),
+    ("S1 S1", "duplicate location 1; cell 1 covered by both S1 and S1; cell 2 uncovered"),
+])
+def test_render_leaves_location_order_to_validate(capsys, text, message):
+    assert run(capsys, "render", "--n", "2", "--tiling", text) == (1, "", f"error: {message}\n")
+
+
 # A bare interpreter spawns the CLI and prints its exit code and peak RSS in
 # kB: a child of the test process would start from the test process's memory.
 LAUNCH = """import os, sys
@@ -772,6 +780,32 @@ def test_usage_error_lines_are_unchanged(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err in lines, argv
+
+
+# A well-formed line per command that gives every option of `_SPEC` that takes a value.
+VALID_ARGV = {
+    "count": ("--n", "3", "--classes", "all"),
+    "enumerate": ("--n", "3", "--classes", "all", "--format", "tokens"),
+    "render": ("--n", "2", "--tiling", "S1 S2"),
+    "verify": ("--identity", "thm4", "--from", "5", "--to", "5", "--mode", "closed"),
+    "bijection": ("--name", "lemma3", "--n", "5"),
+    "sequences": ("--name", "T", "--from", "0", "--to", "2"),
+}
+VALUE_OPTIONS = [
+    (command, flag) for command, (_, _, options) in cli._SPEC.items()
+    for flag, keywords in options if keywords.get("action") != "store_true"
+]
+
+
+@pytest.mark.parametrize("command, flag", VALUE_OPTIONS)
+def test_a_joined_double_dash_value_is_a_usage_error(capsys, command, flag):
+    # Pythons before 3.13 read `--flag=--` as no value at all, past `type` and `choices`
+    argv = list(VALID_ARGV[command])
+    assert run(capsys, command, *argv)[0] == 0
+    i = argv.index(flag)
+    del argv[i : i + 2]
+    assert run(capsys, command, *argv, f"{flag}=--") == (
+        1, "", f"usage error: argument {flag}: expected one argument\n")
 
 
 def test_abbreviated_joined_and_repeated_flags_still_parse(capsys):

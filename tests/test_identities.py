@@ -585,8 +585,24 @@ def test_stepped_sums_below_the_stated_range_raise_or_agree(monkeypatch):
         assert rhs(600) == _reference(identity_id, 600)  # a raise leaves a valid state
 
 
+def test_closed_all_to_300_steps_each_n_once_but_for_the_shared_twin_sums(monkeypatch):
+    _reset_steppers(monkeypatch)
+    steps = Counter()
+    for name, stepper in vars(identities).items():
+        if isinstance(stepper, identities._Stepper):
+            def counted(n, window, step=stepper.step, name=name):
+                steps[name, n] += 1
+                return step(n, window)
+            monkeypatch.setattr(stepper, "step", counted)
+    assert main(["verify", "--identity", "all", "--from", "0", "--to", "300"]) == 2
+    assert sum(steps.values()) == 2682
+    # each printed twin restarts the one sum it shares with its corrected twin
+    assert {name for (name, n), count in steps.items() if count > 1} == {"_thm5_tail", "_s1"}
+    assert max(steps.values()) == 2
+
+
 def test_steppers_keep_one_window_and_closed_records_grow_no_weight_memo(monkeypatch):
-    assert len(STEPPERS) == 8
+    assert len(STEPPERS) == 7
     _reset_steppers(monkeypatch)
     for descriptor in list_identities():
         report = verify_range(descriptor.id, descriptor.n_lo, 500)

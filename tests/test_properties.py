@@ -4,7 +4,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexdomino import (
@@ -283,6 +283,52 @@ def test_quick_parse_agrees_with_argparse(argv):
         assert quick is None
     elif quick is not None:
         assert vars(quick) == expected
+
+
+HUGE = "99999999999999999999"
+
+
+@st.composite
+def command_lines_with_huge_values(draw):
+    """`command_lines`, sometimes with one integer value (spelled alone or after
+    `=`) replaced by one past any memory."""
+    argv = draw(command_lines())
+    ints = [i for i, word in enumerate(argv) if word.rpartition("=")[2].lstrip("-").isdecimal()]
+    if ints and draw(st.booleans()):
+        i = draw(st.sampled_from(ints))
+        argv[i] = "".join(argv[i].rpartition("=")[:2]) + HUGE
+    return argv
+
+
+# Never the default cap of 24, at which `enumerate --n 24` alone takes seconds.
+CAPS = ("0", "5", "12", "-1", "plenty")
+
+
+@settings(max_examples=400)
+@given(command_lines_with_huge_values(), st.sampled_from(CAPS))
+@example(["verify", "--identity=--", "--from", "0", "--to", "0"], "12")
+@example(["count", "--n=--"], "12")
+@example(["verify", "--identity", "thm4", "--from=--", "--to", "5"], "12")
+@example(["verify", "--identity", "all", "--from", "0", "--to", "0", "--mode=--"], "12")
+@example(["bijection", "--name=--", "--n", "5"], "12")
+@example(["enumerate", "--n", "3", "--format=--"], "12")
+@example(["sequences", "--name=--", "--from", "0", "--to", "2"], "12")
+@example(["render", "--n", "0", "--tiling=--"], "12")
+def test_every_command_line_keeps_the_error_contract(argv, cap):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setenv("HEXDOMINO_MAX_N", cap)
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert err.count("\n") == err.endswith("\n") and "Traceback" not in err
+    assert out.endswith("\n") or not out
+    assert not (code == 1 and out)
+    if argv[0] == "verify" and code == 0 and not out.startswith("usage: "):  # not help
+        records = out.splitlines()
+        assert records
+        if "--expect-mismatch" not in argv:
+            assert all(record.endswith('"ok":true}') for record in records)
 
 
 def test_quick_parse_takes_well_formed_lines():
