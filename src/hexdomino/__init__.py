@@ -18,33 +18,33 @@ from importlib import import_module
 # Public name -> the module that defines it, in `__all__` order.
 _ORIGIN = {
     "ABSENT": "identities",
-    "ALL_CLASSES": "strip_model",
-    "BOTH_HORIZONTALS": "enumerator",
-    "BREAKABLE": "enumerator",
+    "ALL_CLASSES": "tiles",
+    "BOTH_HORIZONTALS": "windows",
+    "BREAKABLE": "windows",
     "CLASS_PRESETS": "enumerator",
     "CORRECTED_VARIANT": "identities",
     "CapExceeded": "sequences",
-    "CrossingDescriptor": "enumerator",
-    "DOMINO_CLASSES": "strip_model",
-    "HIGH_HORIZONTAL": "enumerator",
-    "HORIZONTAL": "strip_model",
+    "CrossingDescriptor": "windows",
+    "DOMINO_CLASSES": "tiles",
+    "HIGH_HORIZONTAL": "windows",
+    "HORIZONTAL": "tiles",
     "IdentityDescriptor": "identities",
     "IdentityRecord": "identities",
-    "INCLINED_CROSS": "enumerator",
-    "LEFT_INCLINED": "strip_model",
-    "LOW_HORIZONTAL": "enumerator",
+    "INCLINED_CROSS": "windows",
+    "LEFT_INCLINED": "tiles",
+    "LOW_HORIZONTAL": "windows",
     "PAPER_STATED": "identities",
     "ParseError": "strip_model",
-    "RIGHT_INCLINED": "strip_model",
-    "SQUARE": "strip_model",
+    "RIGHT_INCLINED": "tiles",
+    "SQUARE": "tiles",
     "SingleStripTiling": "correspondences",
     "SingleTile": "correspondences",
     "Thm2Report": "correspondences",
-    "Tile": "strip_model",
-    "Tiling": "strip_model",
+    "Tile": "tiles",
+    "Tiling": "tiles",
     "UnbreakableError": "strip_model",
-    "cells_of": "strip_model",
-    "classify_diagonal": "enumerator",
+    "cells_of": "tiles",
+    "classify_diagonal": "windows",
     "closed_count": "sequences",
     "count_by_enumeration": "enumerator",
     "enumerate_single_strip": "correspondences",
@@ -53,7 +53,7 @@ _ORIGIN = {
     "fibonacci_comb": "sequences",
     "first_tile_of_class": "strip_model",
     "get_identity": "identities",
-    "histogram_by_descriptor": "enumerator",
+    "histogram_by_descriptor": "windows",
     "is_breakable": "strip_model",
     "lemma2_from_single": "correspondences",
     "lemma2_to_single": "correspondences",
@@ -70,7 +70,7 @@ _ORIGIN = {
     "thm2_map": "correspondences",
     "thm2_verify": "correspondences",
     "thm3_expected_histogram": "identities",
-    "tile_at": "strip_model",
+    "tile_at": "tiles",
     "to_tokens": "strip_model",
     "validate": "strip_model",
     "verify_range": "identities",

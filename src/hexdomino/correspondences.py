@@ -19,10 +19,10 @@ from itertools import chain, repeat
 from operator import attrgetter
 
 from .enumerator import (
-    CLASS_PRESETS, CanonicalRank, _check_size, _compile, _tile, _walk, count_by_enumeration,
-    enumerate_tilings, tally_by_window,
+    CLASS_PRESETS, _check_size, _compile, _tile, _walk, count_by_enumeration, enumerate_tilings,
 )
 from .strip_model import Tile, Tiling, _KindTile, _Strip, to_tokens, validate
+from .windows import CanonicalRank, tally_by_window
 
 
 class SingleTile(_KindTile):

@@ -207,7 +207,7 @@ def _count_oracle(strip_length, preset) -> Callable[[int], OracleOutcome]:
 
 
 def _thm1_oracle(n: int) -> OracleOutcome:
-    from .enumerator import last_tile_group, tally_by_window
+    from .windows import last_tile_group, tally_by_window
     groups = tally_by_window(n, n - 1, n, last_tile_group)
     return OracleOutcome(total=sum(groups.values()), groups=groups)
 
@@ -221,7 +221,7 @@ def _thm2_oracle(n: int) -> OracleOutcome:
 
 
 def _thm3_oracle(n: int) -> OracleOutcome:
-    from .enumerator import histogram_by_descriptor
+    from .windows import histogram_by_descriptor
     groups = {d.key: count for d, count in histogram_by_descriptor(n).items()}
     return OracleOutcome(total=sum(groups.values()), groups=groups)
 
@@ -334,7 +334,7 @@ _s0 = _Stepper(0, (0, 1, 4), lambda n, s: _f_products(s) + _t_terms(2 * n))
 _s1 = _Stepper(0, (0, 2, 9), lambda n, s: _f_products(s) + _t_terms(2 * n + 1))
 _o1 = _Stepper(0, (0, 1, 4), lambda n, s: _f_products(s) + tet(2 * n - 2))
 
-# strip_model's class names; closed mode does not load it
+# the tile class names `tiles` defines; closed mode does not load it
 _INCLINED = ("right-inclined", "left-inclined")
 
 

@@ -1,31 +1,14 @@
-"""Hexagonal double-strip geometry: cells, tiles, tilings, diagonals.
-
-The strip has n cells numbered 1..n; odd cells form the lower row, even cells
-the upper row.  Two cells are adjacent when their indices differ by 1 (between
-rows) or by 2 (within a row).  A tile is identified by its kind and location,
-the greatest cell it covers:
-
-    Square     S@k covers {k}          (k >= 1)
-    Inclined   I@k covers {k-1, k}     (k >= 2; right-inclined iff k even)
-    Horizontal H@k covers {k-2, k}     (k >= 3; both cells in one row)
-
-Diagonal d separates cells {1..d} from {d+1..n}; it is breakable when no tile
-covers cells on both sides.
-"""
+"""Checking, parsing, splitting and rendering double-strip tilings, whose tile
+types (`tiles`) are served here too.  Diagonal d separates cells {1..d} from
+{d+1..n}; it is breakable when no tile covers cells on both sides."""
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import cached_property
 from operator import attrgetter, lt
 
-SQUARE = "square"
-RIGHT_INCLINED = "right-inclined"
-LEFT_INCLINED = "left-inclined"
-HORIZONTAL = "horizontal"
-ALL_CLASSES = frozenset({SQUARE, RIGHT_INCLINED, LEFT_INCLINED, HORIZONTAL})
-DOMINO_CLASSES = frozenset({RIGHT_INCLINED, LEFT_INCLINED, HORIZONTAL})
-
-_MIN_LOCATION = {"S": 1, "I": 2, "H": 3}
+from .tiles import (
+    _MIN_LOCATION, ALL_CLASSES, DOMINO_CLASSES, HORIZONTAL, LEFT_INCLINED, RIGHT_INCLINED, SQUARE,
+    Tile, Tiling, _cells, _KindTile, _known_classes, _Strip, cells_of, tile_at,
+)
 
 
 class ParseError(ValueError):
@@ -34,76 +17,6 @@ class ParseError(ValueError):
 
 class UnbreakableError(ValueError):
     """Raised by split_at when a tile crosses the requested diagonal."""
-
-
-def _cells(tile: _KindTile) -> frozenset[int]:
-    """The set of cells the tile covers, read off its kind's lowest location."""
-    return frozenset({tile.location + 1 - tile._lowest[tile.kind], tile.location})
-
-
-class _KindTile(namedtuple("_KindTile", "location kind")):
-    """A (location, kind) tile of a strip whose `_lowest` table gives each kind's
-    lowest location; checked on construction, and `_make` and `_replace`
-    construct through `__new__` too.  `_label` names the tile in messages."""
-
-    __slots__ = ()
-
-    def __new__(cls, location: int, kind: str):
-        low = cls._lowest.get(kind)
-        if low is None:
-            raise ValueError(f"unknown {cls._label} kind {kind!r}")
-        if location < low:
-            raise ValueError(f"{kind} tile location must be >= {low}, got {location}")
-        return tuple.__new__(cls, (location, kind))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    cells = property(_cells)
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.location}"
-
-
-class _Strip(namedtuple("_Strip", "length tiles")):
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, length: int, tiles):
-        """Canonical constructor: sorts tiles by ascending location."""
-        return cls(length, tuple(sorted(tiles, key=lambda t: t.location)))
-
-
-class Tile(_KindTile):
-    """One tile: its location and its kind, "S", "I" or "H".  Unlike the other value
-    types it has an instance `__dict__`, for its cached `tile_class`, `token` and `cells`."""
-
-    _lowest, _label = _MIN_LOCATION, "tile"
-
-    @cached_property
-    def tile_class(self) -> str:
-        if self.kind == "S":
-            return SQUARE
-        if self.kind == "H":
-            return HORIZONTAL
-        return RIGHT_INCLINED if self.location % 2 == 0 else LEFT_INCLINED
-
-    token = cached_property(_KindTile.__str__)  # `S<k>`/`I<k>`/`H<k>`, kept once formatted
-
-    cells = cached_property(_cells)  # built on first use and then kept
-
-
-def cells_of(tile: _KindTile) -> frozenset[int]:
-    """The set of cells a tile of either strip covers."""
-    return tile.cells
-
-
-class Tiling(_Strip):
-    """A strip length and its tiles, a named tuple; valid ones list the tiles
-    in ascending location (see `validate`)."""
-
-    __slots__ = ()
 
 
 _LOCATION, _CELLS = attrgetter("location"), attrgetter("cells")
@@ -186,16 +99,6 @@ def parse_tokens(text: str, expected_length: int) -> Tiling:
     return tiling
 
 
-def tile_at(tiling: Tiling, cell: int) -> Tile:
-    """The unique tile covering the given cell of a valid tiling."""
-    if not 1 <= cell <= tiling.length:
-        raise ValueError(f"cell {cell} out of range 1..{tiling.length}")
-    for tile in tiling.tiles:
-        if cell in tile.cells:
-            return tile
-    raise ValueError(f"cell {cell} is uncovered")
-
-
 def is_breakable(tiling: Tiling, d: int) -> bool:
     """True iff no tile covers both a cell <= d and a cell > d."""
     if not 0 <= d <= tiling.length:
@@ -224,13 +127,10 @@ def split_at(tiling: Tiling, d: int) -> tuple[Tiling, Tiling]:
 def first_tile_of_class(tiling: Tiling, classes) -> int | None:
     """Minimal location among tiles whose class is in `classes`, or None.
 
-    `classes` is any iterable drawn from {square, right-inclined,
-    left-inclined, horizontal}.
+    `classes` is a collection of names from {square, right-inclined,
+    left-inclined, horizontal}, not one name as a bare string.
     """
-    class_set = frozenset(classes)
-    unknown = class_set - ALL_CLASSES
-    if unknown:
-        raise ValueError(f"unknown tile classes {sorted(unknown)}")
+    class_set = _known_classes(classes)
     locations = [t.location for t in tiling.tiles if t.tile_class in class_set]
     return min(locations) if locations else None
 
@@ -242,15 +142,11 @@ def render_ascii(tiling: Tiling) -> str:
     """Two-line rendering: upper row (even cells) above lower row (odd cells).
 
     Each cell shows the covering tile's class letter and location, e.g. [R2].
+    An invalid tiling raises ValueError with `validate`'s messages.
     """
-    covering: dict[int, Tile] = {}
-    for tile in tiling.tiles:
-        for cell in tile.cells:
-            covering[cell] = tile
-    def row(cells: range) -> str:
-        return " ".join(
-            f"[{_RENDER_LETTER[covering[c].tile_class]}{covering[c].location}]" for c in cells
-        )
-    upper = row(range(2, tiling.length + 1, 2))
-    lower = row(range(1, tiling.length + 1, 2))
-    return f"{upper}\n{lower}"
+    if violations := validate(tiling):
+        raise ValueError(f"input tiling is invalid: {'; '.join(violations)}")
+    label = {cell: f"[{_RENDER_LETTER[tile.tile_class]}{tile.location}]"
+             for tile in tiling.tiles for cell in tile.cells}
+    rows = (range(first, tiling.length + 1, 2) for first in (2, 1))
+    return "\n".join(" ".join(map(label.__getitem__, cells)) for cells in rows)

@@ -120,6 +120,19 @@ def test_class_set_validation():
         count_by_enumeration(-1)
 
 
+@pytest.mark.parametrize("classes, message", [
+    ("square", "tile classes must be a collection of class names, got 'square'"),
+    ("", "tile classes must be a collection of class names, got ''"),
+    ({"square", "slanted"}, r"unknown tile classes \['slanted'\]"),
+    (frozenset(), "tile class set must be non-empty"),
+])
+def test_class_sets_are_collections_of_known_names(classes, message):
+    # one rule for every pass that takes a class set, as for `first_tile_of_class`
+    for run in (count_by_enumeration, enumerate_tilings, partition_by_first):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(3, classes)
+
+
 def test_partition_by_first_domino_n5():
     groups = partition_by_first(5, DOMINO_CLASSES)
     assert groups == {None: 1, 2: 4, 3: 5, 4: 3, 5: 2}

@@ -1,5 +1,6 @@
 """Start-up: the package and each CLI command load only the layers they run."""
 import argparse
+import ast
 import importlib
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hexdomino
-from hexdomino import CLASS_PRESETS, cli
+from hexdomino import CLASS_PRESETS, cli, identities
 from hexdomino.sequences import PRESET_NAMES
 
 # Runs one CLI command in a fresh interpreter, then lists on stderr's last
@@ -23,6 +24,8 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("hexdomino"))), fil
 """
 
 SEQUENCES_ONLY = {"hexdomino", "hexdomino.cli", "hexdomino.sequences"}
+# Listing and counting tilings read the tile types and the walk, nothing more.
+WALK = {"hexdomino.tiles", "hexdomino.enumerator"}
 
 
 def loaded_modules(*argv: str, code: str = PROBE) -> set[str]:
@@ -52,11 +55,15 @@ def test_closed_form_commands_load_only_sequences(argv):
     ("enumerate", "--n", "6"),
     ("enumerate", "--n", "6", "--classes", "no-squares", "--format", "jsonl"),
     ("render", "--n", "4", "--tiling", "S1 I3 S4"),
+    ("enumerate", "--n", "6", "--format", "jsonl"),
+    ("enumerate", "--n", "6", "--classes", "squares-right"),
 ])
 def test_enumerate_and_render_skip_verification_layers(argv):
-    loaded = loaded_modules(*argv)
-    assert "hexdomino.strip_model" in loaded
-    assert not loaded & {"hexdomino.identities", "hexdomino.correspondences"}
+    # `enumerate` writes each move's tokens from the walk: no tiling is built or
+    # checked, so neither `strip_model` nor the window passes load; `render`
+    # parses and draws one tiling, and walks nothing
+    rest = WALK if argv[0] == "enumerate" else {"hexdomino.tiles", "hexdomino.strip_model"}
+    assert loaded_modules(*argv) == SEQUENCES_ONLY | rest
 
 
 @pytest.mark.parametrize("argv", [
@@ -81,7 +88,27 @@ def test_closed_verify_loads_only_sequences_and_identities(argv):
 def test_oracle_verify_loads_the_enumerator(identity):
     loaded = loaded_modules("verify", "--identity", identity, "--mode", "oracle",
                             "--from", "5", "--to", "5", "--expect-mismatch")
-    assert {"hexdomino.enumerator", "hexdomino.strip_model"} <= loaded
+    assert WALK <= loaded
+
+
+# Each first-tile partition and lemma count, one process per identity.
+WALK_ORACLES = [
+    d.id for d in identities.list_identities() if d.id not in ("thm1", "thm2_num", "thm3")
+]
+
+
+@pytest.mark.parametrize("identity", WALK_ORACLES)
+def test_first_tile_and_lemma_oracles_load_only_the_walk(identity):
+    loaded = loaded_modules("verify", "--identity", identity, "--mode", "oracle",
+                            "--from", "5", "--to", "6", "--expect-mismatch")
+    assert loaded == SEQUENCES_ONLY | {"hexdomino.identities"} | WALK
+
+
+@pytest.mark.parametrize("identity", ["thm1", "thm3"])
+def test_window_oracles_load_the_window_passes(identity):
+    loaded = loaded_modules("verify", "--identity", identity, "--mode", "oracle",
+                            "--from", "5", "--to", "6")
+    assert loaded == SEQUENCES_ONLY | {"hexdomino.identities", "hexdomino.windows"} | WALK
 
 
 def test_the_enumerator_reexports_the_cap_from_sequences():
@@ -189,6 +216,62 @@ def test_every_public_name_is_its_defining_modules_object():
         # a function or class is named by the module that defines it, not one
         # that re-exports it
         assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+REPO = Path(__file__).parents[1]
+
+
+def names_read_off(module: str) -> set[str]:
+    """Every name the benchmark's tracer and the tests read or patch on hexdomino.<module>:
+    `module.X`, `from hexdomino.module import X`, "hexdomino.module.X" and
+    `monkeypatch.setattr(module, "X", ...)`."""
+    names, prefix = set(), f"hexdomino.{module}."
+    for path in [REPO / "perfbench" / "tracer.py", *sorted((REPO / "tests").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setattr"
+                  and getattr(node.args[0], "id", None) == module):
+                names.add(node.args[1].value)
+            elif isinstance(node, ast.ImportFrom) and node.module == f"hexdomino.{module}":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and str(node.value).startswith(prefix):
+                names.add(node.value.removeprefix(prefix))
+    return names
+
+
+def defining_modules() -> dict[str, set[str]]:
+    """Each name a hexdomino module binds at top level by `def`, `class` or `=`."""
+    definers: dict[str, set[str]] = {}
+    for path in Path(hexdomino.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                definers.setdefault(name, set()).add(path.stem)
+    return definers
+
+
+@pytest.mark.parametrize("module, sample", [
+    ("strip_model", {"validate", "tile_at", "Tiling", "_MIN_LOCATION"}),
+    ("enumerator", {"classify_diagonal", "CanonicalRank", "_walk", "Tiling", "max_cells"}),
+])
+def test_names_read_off_the_split_modules_are_their_defining_modules_objects(module, sample):
+    # `strip_model` serves the tile types of `tiles`; `enumerator` serves the
+    # window passes of `windows`, loading it on first use
+    served, definers = importlib.import_module(f"hexdomino.{module}"), defining_modules()
+    names = names_read_off(module)
+    assert sample <= names
+    for name in sorted(names):
+        (origin,) = definers[name]
+        defining = importlib.import_module(f"hexdomino.{origin}")
+        assert getattr(served, name) is vars(defining)[name], name
+        assert name in dir(served), name
 
 
 def test_star_import_and_dir_list_every_public_name():

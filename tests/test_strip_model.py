@@ -226,8 +226,24 @@ def test_first_tile_of_class_examples():
     assert first_tile_of_class(tiling_of(4, "H3", "H4"), {HORIZONTAL, LEFT_INCLINED}) == 3
     assert first_tile_of_class(tiling_of(4, "S1", "S2", "S3", "S4"), DOMINO_CLASSES) is None
     assert first_tile_of_class(tiling_of(4, "S1", "I3", "S4"), DOMINO_CLASSES) == 3
-    with pytest.raises(ValueError):
-        first_tile_of_class(tiling_of(4, "H3", "H4"), {"slanted"})
+    with pytest.raises(ValueError, match=r"^unknown tile classes \['slanted'\]$"):
+        first_tile_of_class(tiling_of(4, "H3", "H4"), {"square", "slanted"})
+    with pytest.raises(ValueError, match="^tile classes must be a collection of class names, "
+                                         "got 'square'$"):
+        first_tile_of_class(tiling_of(4, "H3", "H4"), "square")
+    assert first_tile_of_class(tiling_of(4, "H3", "H4"), set()) is None
+
+
+@pytest.mark.parametrize("tiling, message", [
+    (Tiling(2, (Tile(1, "S"),)), "cell 2 uncovered"),
+    (Tiling(1, (Tile(1, "S"), Tile(1, "S"))),
+     "duplicate location 1; cell 1 covered by both S1 and S1"),
+    (Tiling(2, (Tile(3, "S"),)), "tile S3 covers cell 3 beyond length 2; cells 1..2 uncovered"),
+])
+def test_render_ascii_refuses_an_invalid_tiling_with_validates_messages(tiling, message):
+    with pytest.raises(ValueError) as caught:
+        render_ascii(tiling)
+    assert str(caught.value) == f"input tiling is invalid: {message}"
 
 
 def test_render_ascii_examples():
